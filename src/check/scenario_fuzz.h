@@ -19,7 +19,7 @@
 // any candidate that still reproduces the same violation category, looping
 // until no pass makes progress. The result is a minimal reproducer whose
 // serialized form (FormatSpec) goes into tests/repro/ and replays through
-// tableau_checkctl or the repro-corpus test.
+// `tableau check replay` or the repro-corpus test.
 #ifndef SRC_CHECK_SCENARIO_FUZZ_H_
 #define SRC_CHECK_SCENARIO_FUZZ_H_
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "src/common/check.h"
+#include "src/hypervisor/machine.h"
 
 namespace tableau {
 
@@ -173,6 +174,26 @@ void TraceBuffer::Clear() {
   ring_.clear();
   next_ = 0;
   wrapped_ = false;
+}
+
+std::uint64_t TraceFingerprint(const Machine& machine) {
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](std::uint64_t value) {
+    hash ^= value;
+    hash *= 1099511628211ull;
+  };
+  machine.trace().ForEach([&](const TraceRecord& record) {
+    mix(static_cast<std::uint64_t>(record.time));
+    mix(static_cast<std::uint64_t>(record.event));
+    mix(static_cast<std::uint64_t>(record.cpu));
+    mix(static_cast<std::uint64_t>(record.vcpu));
+    mix(static_cast<std::uint64_t>(record.arg));
+  });
+  mix(machine.trace().total_recorded());
+  mix(machine.sim().events_executed());
+  mix(machine.context_switches());
+  mix(machine.schedule_invocations());
+  return hash;
 }
 
 }  // namespace tableau

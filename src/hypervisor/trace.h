@@ -22,6 +22,8 @@
 
 namespace tableau {
 
+class Machine;
+
 enum class TraceEvent : std::uint8_t {
   kDispatch = 0,    // vCPU starts running on a CPU (arg = 1 if second-level).
   kDeschedule = 1,  // vCPU stops running (arg = DeschedReason).
@@ -109,6 +111,12 @@ class TraceBuffer {
   std::uint64_t total_ = 0;
   std::uint64_t dropped_ = 0;
 };
+
+// FNV-1a over every retained trace record of `machine` plus its aggregate
+// counters (records ever traced, engine events executed, context switches,
+// schedule invocations). Two runs with equal fingerprints executed the same
+// event sequence; the engine goldens (tests/engine_golden_test.cc) pin it.
+std::uint64_t TraceFingerprint(const Machine& machine);
 
 }  // namespace tableau
 

@@ -1,7 +1,6 @@
 #include "src/sim/sharded_sim.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 namespace tableau {
@@ -16,6 +15,11 @@ ShardedSimulation::ShardedSimulation(const Options& options)
   engines_.reserve(engines);
   for (std::size_t i = 0; i < engines; ++i) {
     engines_.push_back(std::make_unique<Simulation>());
+  }
+  if (options_.parallel && engines > 1) {
+    const int threads = options_.num_threads > 0 ? options_.num_threads
+                                                 : options_.num_shards;
+    pool_ = std::make_unique<ThreadPool>(std::min(threads, options_.num_shards));
   }
   outbox_.resize(static_cast<std::size_t>(options_.num_shards));
   next_seq_.assign(static_cast<std::size_t>(options_.num_shards), 1);
@@ -68,37 +72,19 @@ void ShardedSimulation::DeliverPending() {
 }
 
 void ShardedSimulation::RunEpoch(TimeNs epoch_end) {
-  if (!options_.parallel || engines_.size() == 1) {
+  if (pool_ == nullptr) {
     for (auto& engine : engines_) {
       engine->RunUntil(epoch_end);
     }
     return;
   }
   // Shards are causally independent within an epoch (see header), so the
-  // engines may run concurrently; the barrier is the join. With a bounded
-  // worker count the engines are split into contiguous ranges, one per
-  // worker, each range run serially — the partition only changes which
-  // thread hosts which engine, never the per-engine event order.
-  std::size_t workers_wanted = options_.num_threads > 0
-                                   ? static_cast<std::size_t>(options_.num_threads)
-                                   : engines_.size();
-  workers_wanted = std::min(workers_wanted, engines_.size());
-  const std::size_t per_worker =
-      (engines_.size() + workers_wanted - 1) / workers_wanted;
-  std::vector<std::thread> workers;
-  workers.reserve(workers_wanted - 1);
-  const auto run_range = [this, epoch_end](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end && i < engines_.size(); ++i) {
-      engines_[i]->RunUntil(epoch_end);
-    }
-  };
-  for (std::size_t w = 1; w < workers_wanted; ++w) {
-    workers.emplace_back(run_range, w * per_worker, (w + 1) * per_worker);
-  }
-  run_range(0, per_worker);
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
+  // engines may run concurrently; ParallelFor's return is the barrier. Which
+  // worker hosts which engine never changes the per-engine event order.
+  pool_->ParallelFor(
+      engines_.size(),
+      [this, epoch_end](std::size_t i) { engines_[i]->RunUntil(epoch_end); },
+      /*grain=*/1);
 }
 
 void ShardedSimulation::RunUntil(TimeNs until) {

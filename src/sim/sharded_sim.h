@@ -25,8 +25,9 @@
 // The option is off by default: `sharded == false` multiplexes every shard
 // onto a single engine, which is exactly the classic serial mode. With
 // `parallel == true` (requires `sharded`), each epoch runs the shard
-// engines on worker threads and joins at the barrier; message merging stays
-// single-threaded, so the guarantee above is unchanged.
+// engines as one ParallelFor on a ThreadPool the simulation owns, whose
+// return is the barrier; message merging stays single-threaded, so the
+// guarantee above is unchanged.
 #ifndef SRC_SIM_SHARDED_SIM_H_
 #define SRC_SIM_SHARDED_SIM_H_
 
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/thread_pool.h"
 #include "src/common/time.h"
 #include "src/obs/timeseries.h"
 #include "src/sim/simulation.h"
@@ -55,11 +57,10 @@ class ShardedSimulation {
     bool sharded = false;
     // Run shard engines on threads within each epoch (requires sharded).
     bool parallel = false;
-    // Worker threads for parallel epochs (<= 0: one thread per shard).
-    // Shards are partitioned into contiguous ranges, one range per worker,
-    // and each worker runs its range serially — purely an execution-cost
-    // knob; the epoch barrier and message merge are unchanged, so results
-    // are byte-identical for any thread count (tests/fleet_test.cc).
+    // Worker threads for parallel epochs (<= 0: one thread per shard; never
+    // more than num_shards). Purely an execution-cost knob: the epoch
+    // barrier and message merge are unchanged, so results are byte-identical
+    // for any thread count (tests/fleet_test.cc).
     int num_threads = 0;
   };
 
@@ -142,6 +143,8 @@ class ShardedSimulation {
 
   Options options_;
   std::vector<std::unique_ptr<Simulation>> engines_;
+  // Runs parallel epochs; null unless parallel with more than one engine.
+  std::unique_ptr<ThreadPool> pool_;
   // Outbox per sender shard: with parallel execution each shard appends to
   // its own buffer during the epoch, so no cross-thread contention; the
   // barrier merges them deterministically.

@@ -272,9 +272,11 @@ std::string SchedulingTable::Validate() const {
         return "cpu " + std::to_string(c) + ": bad SoA sentinel row";
       }
     }
+    // Slice starts only grow, so the first allocation ending past one is at
+    // or after the previous slice's: one forward pass finds every floor.
+    std::size_t want = 0;
     for (std::size_t s = 0; s < cpu.slice_floor.size(); ++s) {
       const TimeNs slice_start = static_cast<TimeNs>(s) * cpu.slice_length;
-      std::size_t want = 0;
       while (want < n && cpu.allocations[want].end <= slice_start) {
         ++want;
       }

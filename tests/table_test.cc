@@ -271,6 +271,82 @@ TEST(SchedulingTable, ValidateDetectsConcurrentAllocation) {
   EXPECT_NE(table.Validate(), "");
 }
 
+// Reference for Validate's slice-floor check: rescans from allocation 0 for
+// every slice, O(slices x allocations) but plainly right. Returns Validate's
+// message for the first desynced slice, or "" if every floor is right.
+std::string QuadraticSliceFloorCheck(const SchedulingTable& table) {
+  for (int c = 0; c < table.num_cpus(); ++c) {
+    const CpuTable& cpu = table.cpu(c);
+    for (std::size_t s = 0; s < cpu.slice_floor.size(); ++s) {
+      const TimeNs slice_start = static_cast<TimeNs>(s) * cpu.slice_length;
+      std::size_t want = 0;
+      while (want < cpu.allocations.size() && cpu.allocations[want].end <= slice_start) {
+        ++want;
+      }
+      if (cpu.slice_floor[s] != static_cast<std::int32_t>(want)) {
+        return "cpu " + std::to_string(c) + ": slice floor desynced at slice " +
+               std::to_string(s);
+      }
+    }
+  }
+  return "";
+}
+
+// Up to four pCPUs of random allocations (some pCPUs empty, lengths from one
+// nanosecond, allocations may end exactly at the table length). vCPU ids are
+// per-pCPU, so only the slice floors can make Validate fail.
+std::vector<std::vector<Allocation>> RandomPerCpu(Rng& rng, TimeNs length) {
+  std::vector<std::vector<Allocation>> per_cpu(static_cast<std::size_t>(rng.UniformInt(1, 4)));
+  for (std::size_t c = 0; c < per_cpu.size(); ++c) {
+    if (rng.UniformInt(0, 5) == 0) {
+      continue;
+    }
+    const TimeNs min_len = rng.UniformInt(1, 40);
+    const TimeNs max_len = min_len + rng.UniformInt(0, 800);
+    TimeNs t = rng.UniformInt(0, 100);
+    while (t < length) {
+      const TimeNs end = std::min(t + rng.UniformInt(min_len, max_len), length);
+      per_cpu[c].push_back(
+          Allocation{static_cast<VcpuId>(10 * c + rng.UniformInt(0, 4)), t, end});
+      t = end + rng.UniformInt(0, 300);
+    }
+  }
+  return per_cpu;
+}
+
+// Validate's linear slice-floor check must agree with the quadratic reference
+// on fuzzed tables from all three constructors (Build, BuildWithExactSlices,
+// and Deserialize of either), and on the same tables with one slice floor
+// bumped by +-1 at a seeded slice: both must name the same first bad slice.
+TEST(SchedulingTable, ValidateSliceFloorMatchesQuadraticReference) {
+  Rng rng(1313);
+  for (int trial = 0; trial < 300; ++trial) {
+    const TimeNs length = rng.UniformInt(200, 30000);
+    const std::vector<std::vector<Allocation>> per_cpu = RandomPerCpu(rng, length);
+    const SchedulingTable built = trial % 2 == 0
+                                      ? SchedulingTable::Build(length, per_cpu)
+                                      : SchedulingTable::BuildWithExactSlices(length, per_cpu);
+    SchedulingTable tables[] = {built, SchedulingTable::Deserialize(built.Serialize())};
+    for (SchedulingTable& table : tables) {
+      ASSERT_EQ(QuadraticSliceFloorCheck(table), "") << "trial " << trial;
+      ASSERT_EQ(table.Validate(), "") << "trial " << trial;
+
+      const int c = static_cast<int>(rng.UniformInt(0, table.num_cpus() - 1));
+      auto& floors = const_cast<std::vector<std::int32_t>&>(table.cpu(c).slice_floor);
+      const auto s = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(floors.size()) - 1));
+      const std::int32_t bump = rng.UniformInt(0, 1) == 0 ? -1 : 1;
+      floors[s] += bump;
+      const std::string expected =
+          "cpu " + std::to_string(c) + ": slice floor desynced at slice " + std::to_string(s);
+      ASSERT_EQ(QuadraticSliceFloorCheck(table), expected) << "trial " << trial;
+      ASSERT_EQ(table.Validate(), expected) << "trial " << trial;
+      floors[s] -= bump;
+      ASSERT_EQ(table.Validate(), "") << "trial " << trial;
+    }
+  }
+}
+
 TEST(SchedulingTable, SerializeRoundTrip) {
   const SchedulingTable table = SimpleTable();
   const std::vector<std::uint8_t> bytes = table.Serialize();
