@@ -20,7 +20,7 @@ void TableauDispatcher::InstallTable(std::shared_ptr<const SchedulingTable> tabl
   if (current_ == nullptr) {
     current_ = std::move(table);
     ++generation_;
-    BuildTimelines();
+    BuildTimelines(nullptr);
     return;
   }
   // Time-synchronized switch: the planner times the next_table pointers to
@@ -71,34 +71,92 @@ const SchedulingTable& TableauDispatcher::ActiveTable(TimeNs now) {
       m_table_switches_->Increment();
       m_switch_slip_ns_->Record(last_switch_slip_);
     }
+    const std::shared_ptr<const SchedulingTable> previous = std::move(current_);
     current_ = std::move(next_);
     next_ = nullptr;
     switch_at_ = kTimeNever;
     ++generation_;
-    BuildTimelines();
+    BuildTimelines(previous.get());
     // The old table is released here: "garbage collected two rounds after
     // the new table has been uploaded".
   }
   return *current_;
 }
 
-void TableauDispatcher::BuildTimelines() {
-  timelines_.clear();
-  for (int c = 0; c < current_->num_cpus(); ++c) {
-    for (const Allocation& alloc : current_->cpu(c).allocations) {
-      timelines_[alloc.vcpu].entries.push_back(
-          VcpuTimeline::Entry{alloc.start, alloc.end, c});
+void TableauDispatcher::BuildTimelines(const SchedulingTable* previous) {
+  const int num_cpus = current_->num_cpus();
+  // changed[c]: pCPU c's CpuTable is not the one `previous` held.
+  std::vector<char> changed(static_cast<std::size_t>(num_cpus), 1);
+  bool any_shared = false;
+  if (previous != nullptr && previous->num_cpus() == num_cpus &&
+      previous->length() == current_->length()) {
+    for (int c = 0; c < num_cpus; ++c) {
+      changed[static_cast<std::size_t>(c)] = !current_->SharesCpu(*previous, c);
+      any_shared = any_shared || !changed[static_cast<std::size_t>(c)];
     }
   }
-  for (auto& [vcpu, timeline] : timelines_) {
+  // Only vCPUs with an allocation on a changed pCPU, in the old table or the
+  // new one, get new timelines; entries on shared pCPUs stay as they are.
+  std::vector<VcpuId> touched;
+  if (any_shared) {
+    for (int c = 0; c < num_cpus; ++c) {
+      if (changed[static_cast<std::size_t>(c)]) {
+        for (const SchedulingTable* table : {previous, current_.get()}) {
+          for (const Allocation& alloc : table->cpu(c).allocations) {
+            touched.push_back(alloc.vcpu);
+          }
+        }
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (const VcpuId vcpu : touched) {
+      const auto it = timelines_.find(vcpu);
+      if (it != timelines_.end()) {
+        auto& entries = it->second.entries;
+        entries.erase(std::remove_if(entries.begin(), entries.end(),
+                                     [&](const VcpuTimeline::Entry& e) {
+                                       return changed[static_cast<std::size_t>(e.cpu)] != 0;
+                                     }),
+                      entries.end());
+      }
+    }
+  } else {
+    timelines_.clear();
+  }
+  for (int c = 0; c < num_cpus; ++c) {
+    if (changed[static_cast<std::size_t>(c)]) {
+      for (const Allocation& alloc : current_->cpu(c).allocations) {
+        timelines_[alloc.vcpu].entries.push_back(
+            VcpuTimeline::Entry{alloc.start, alloc.end, c});
+      }
+    }
+  }
+  const auto finish = [](VcpuTimeline& timeline) {
+    // Start times are unique per vCPU in a valid table; the cpu tie-break
+    // only makes the order total for malformed ones.
     std::sort(timeline.entries.begin(), timeline.entries.end(),
               [](const VcpuTimeline::Entry& a, const VcpuTimeline::Entry& b) {
-                return a.start < b.start;
+                return a.start != b.start ? a.start < b.start : a.cpu < b.cpu;
               });
     const int first_cpu = timeline.entries.front().cpu;
     timeline.split = std::any_of(
         timeline.entries.begin(), timeline.entries.end(),
         [first_cpu](const VcpuTimeline::Entry& e) { return e.cpu != first_cpu; });
+  };
+  if (!any_shared) {
+    for (auto& [vcpu, timeline] : timelines_) {
+      finish(timeline);
+    }
+    return;
+  }
+  for (const VcpuId vcpu : touched) {
+    const auto it = timelines_.find(vcpu);
+    if (it->second.entries.empty()) {
+      timelines_.erase(it);  // Left the table.
+    } else {
+      finish(it->second);
+    }
   }
 }
 

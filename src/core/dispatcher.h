@@ -142,7 +142,10 @@ class TableauDispatcher {
     std::map<VcpuId, TimeNs> budgets;
   };
 
-  void BuildTimelines();
+  // Rebuilds timelines_ for current_. With `previous` (the table current_
+  // replaced), only vCPUs with allocations on pCPUs whose CpuTable changed
+  // are redone; a table sharing no pCPU with `previous` is rebuilt whole.
+  void BuildTimelines(const SchedulingTable* previous);
 
   const int num_cpus_;
   const Config config_;

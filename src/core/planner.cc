@@ -485,8 +485,16 @@ PlanResult Planner::PlanFull(const std::vector<VcpuRequest>& requests) const {
   for (const auto& [vcpu, amount] : donated) {
     donated_by_vcpu[vcpu] += amount;
   }
+  // Validate() just proved each pCPU's local_vcpus equal to its distinct
+  // vCPUs, so counting list entries counts a vCPU's pCPUs.
+  std::map<VcpuId, int> cores_of;
+  for (int c = 0; c < result.table.num_cpus(); ++c) {
+    for (const VcpuId vcpu : result.table.cpu(c).local_vcpus) {
+      ++cores_of[vcpu];
+    }
+  }
   for (VcpuPlan& plan : result.vcpus) {
-    plan.split = result.table.CpusOf(plan.vcpu).size() > 1;
+    plan.split = cores_of[plan.vcpu] > 1;
     const auto it = donated_by_vcpu.find(plan.vcpu);
     plan.donated_ns = it == donated_by_vcpu.end() ? 0 : it->second;
   }
@@ -525,6 +533,7 @@ PlanResult Planner::PlanDelta(const PlanResult& previous,
   const bool fast_path_applicable =
       previous.success && previous.method == PlanMethod::kPartitioned &&
       static_cast<int>(previous.core_tasks.size()) == config_.num_cpus &&
+      previous.table.num_cpus() == config_.num_cpus && previous.table.length() == h &&
       std::none_of(added.begin(), added.end(),
                    [](const VcpuRequest& r) { return r.utilization >= 1.0; });
   if (!fast_path_applicable) {
@@ -615,32 +624,28 @@ PlanResult Planner::PlanDelta(const PlanResult& previous,
   }
 
   // Rebuild only the dirty cores; untouched cores keep their previous
-  // (already coalesced) allocations verbatim.
+  // (already coalesced, sliced and validated) CpuTables, shared rather than
+  // copied.
   PlanResult result;
-  std::vector<std::vector<Allocation>> per_core(
-      static_cast<std::size_t>(config_.num_cpus));
+  const std::vector<int> dirty_list(dirty.begin(), dirty.end());
   std::vector<std::vector<Allocation>> dirty_alloc(
       static_cast<std::size_t>(config_.num_cpus));
-  ParallelFor(pool_.get(), static_cast<std::size_t>(config_.num_cpus),
-              [&](std::size_t core) {
-                const int c = static_cast<int>(core);
-                if (dirty.find(c) == dirty.end()) {
-                  per_core[core] = previous.table.cpu(c).allocations;
-                  return;
-                }
-                if (core_tasks[core].empty()) {
-                  return;
-                }
-                // Dirty-core re-admission: record the deciding ladder rung.
-                TallyCoreAdmission(core_tasks[core], h, admission_tally);
-                EdfSimResult sim;
-                {
-                  PhaseTimer timer(pm.edf_core_sim);
-                  sim = SimulateEdf(core_tasks[core], h);
-                }
-                TABLEAU_CHECK_MSG(sim.schedulable, "incremental EDF failed on core %d", c);
-                dirty_alloc[core] = std::move(sim.allocations);
-              });
+  ParallelFor(pool_.get(), dirty_list.size(), [&](std::size_t i) {
+    const int c = dirty_list[i];
+    const auto core = static_cast<std::size_t>(c);
+    if (core_tasks[core].empty()) {
+      return;
+    }
+    // Dirty-core re-admission: record the deciding ladder rung.
+    TallyCoreAdmission(core_tasks[core], h, admission_tally);
+    EdfSimResult sim;
+    {
+      PhaseTimer timer(pm.edf_core_sim);
+      sim = SimulateEdf(core_tasks[core], h);
+    }
+    TABLEAU_CHECK_MSG(sim.schedulable, "incremental EDF failed on core %d", c);
+    dirty_alloc[core] = std::move(sim.allocations);
+  });
   if (config_.peephole_pass) {
     PeepholeOptimize(dirty_alloc, core_tasks);
   }
@@ -650,16 +655,17 @@ PlanResult Planner::PlanDelta(const PlanResult& previous,
     dirty_alloc = CoalesceAllocations(std::move(dirty_alloc), config_.coalesce_threshold,
                                       &donated);
   }
-  for (int c = 0; c < config_.num_cpus; ++c) {
-    const auto core = static_cast<std::size_t>(c);
-    if (dirty.find(c) != dirty.end()) {
-      per_core[core] = std::move(dirty_alloc[core]);
-    }
+  std::vector<std::pair<int, std::vector<Allocation>>> replaced;
+  for (const int c : dirty_list) {
+    replaced.emplace_back(c, std::move(dirty_alloc[static_cast<std::size_t>(c)]));
   }
 
   result.method = PlanMethod::kPartitioned;
-  result.table = SchedulingTable::Build(h, std::move(per_core));
-  const std::string violation = result.table.Validate();
+  result.table = SchedulingTable::WithCores(previous.table, std::move(replaced));
+  // The carried-over cores are the very objects that passed the previous
+  // Solve's self-check, so checking the rebuilt cores (and the vCPUs on
+  // them) gives Validate()'s verdict.
+  const std::string violation = result.table.ValidateCores(dirty_list);
   TABLEAU_CHECK_MSG(violation.empty(), "incremental plan invalid: %s", violation.c_str());
 
   // Carry forward unchanged vCPU plans; append the new ones.
@@ -690,7 +696,7 @@ PlanResult Planner::PlanDelta(const PlanResult& previous,
 
   result.core_tasks = std::move(core_tasks);
   result.requests = std::move(requests);
-  result.dirty_cores.assign(dirty.begin(), dirty.end());
+  result.dirty_cores = dirty_list;
   result.success = true;
   result.admission = TallyToBreakdown(admission_tally);
   ExportAdmissionMetrics(pm, result.admission);

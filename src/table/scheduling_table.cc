@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
-#include <set>
 
 #include "src/common/check.h"
 #include "src/common/math_util.h"
@@ -29,6 +27,19 @@ T ReadAt(const std::vector<std::uint8_t>& in, std::size_t& pos) {
   return value;
 }
 
+// Sorted distinct vCPUs of `allocations`. A pCPU hosts a handful of vCPUs
+// over hundreds of allocations, so insert into the sorted list on a miss.
+std::vector<VcpuId> DistinctVcpus(const std::vector<Allocation>& allocations) {
+  std::vector<VcpuId> vcpus;
+  for (const Allocation& alloc : allocations) {
+    const auto it = std::lower_bound(vcpus.begin(), vcpus.end(), alloc.vcpu);
+    if (it == vcpus.end() || *it != alloc.vcpu) {
+      vcpus.insert(it, alloc.vcpu);
+    }
+  }
+  return vcpus;
+}
+
 }  // namespace
 
 SchedulingTable SchedulingTable::Build(TimeNs length,
@@ -47,43 +58,58 @@ SchedulingTable SchedulingTable::BuildImpl(TimeNs length,
   TABLEAU_CHECK(length > 0);
   SchedulingTable table;
   table.length_ = length;
-  table.cpus_.resize(per_cpu.size());
-
+  table.cpus_.reserve(per_cpu.size());
   for (std::size_t c = 0; c < per_cpu.size(); ++c) {
-    CpuTable& cpu = table.cpus_[c];
-    cpu.allocations = std::move(per_cpu[c]);
-    std::sort(cpu.allocations.begin(), cpu.allocations.end(),
-              [](const Allocation& a, const Allocation& b) { return a.start < b.start; });
-    TimeNs prev_end = 0;
-    TimeNs min_len = length;
-    std::set<VcpuId> locals;
-    for (const Allocation& alloc : cpu.allocations) {
-      TABLEAU_CHECK_MSG(alloc.start >= prev_end && alloc.end <= length &&
-                            alloc.start < alloc.end,
-                        "bad allocation [%lld,%lld) on cpu %zu",
-                        static_cast<long long>(alloc.start),
-                        static_cast<long long>(alloc.end), c);
-      prev_end = alloc.end;
-      min_len = std::min(min_len, alloc.Length());
-      locals.insert(alloc.vcpu);
-    }
-    cpu.local_vcpus.assign(locals.begin(), locals.end());
-
-    // Slice length: the shortest allocation keeps every slice overlapping at
-    // most two allocations; rounding down to a power of two preserves that
-    // (slices only shrink) and turns the lookup division into a shift, for
-    // at most 2x the slice count.
-    cpu.slice_length = cpu.allocations.empty() ? length : min_len;
-    if (pow2_slices) {
-      cpu.slice_length =
-          TimeNs{1} << (63 - __builtin_clzll(static_cast<std::uint64_t>(cpu.slice_length)));
-    }
-    table.FinalizeCpu(cpu);
+    table.cpus_.push_back(MakeCpu(length, std::move(per_cpu[c]), pow2_slices, c));
   }
   return table;
 }
 
-void SchedulingTable::FinalizeCpu(CpuTable& cpu) const {
+SchedulingTable SchedulingTable::WithCores(
+    const SchedulingTable& base, std::vector<std::pair<int, std::vector<Allocation>>> replaced) {
+  SchedulingTable table = base;
+  for (auto& [c, allocations] : replaced) {
+    TABLEAU_CHECK(c >= 0 && c < table.num_cpus());
+    table.cpus_[static_cast<std::size_t>(c)] =
+        MakeCpu(table.length_, std::move(allocations), /*pow2_slices=*/true,
+                static_cast<std::size_t>(c));
+  }
+  return table;
+}
+
+std::shared_ptr<const CpuTable> SchedulingTable::MakeCpu(TimeNs length,
+                                                         std::vector<Allocation> allocations,
+                                                         bool pow2_slices, std::size_t index) {
+  auto cpu = std::make_shared<CpuTable>();
+  cpu->allocations = std::move(allocations);
+  std::sort(cpu->allocations.begin(), cpu->allocations.end(),
+            [](const Allocation& a, const Allocation& b) { return a.start < b.start; });
+  TimeNs prev_end = 0;
+  TimeNs min_len = length;
+  for (const Allocation& alloc : cpu->allocations) {
+    TABLEAU_CHECK_MSG(alloc.start >= prev_end && alloc.end <= length && alloc.start < alloc.end,
+                      "bad allocation [%lld,%lld) on cpu %zu",
+                      static_cast<long long>(alloc.start), static_cast<long long>(alloc.end),
+                      index);
+    prev_end = alloc.end;
+    min_len = std::min(min_len, alloc.Length());
+  }
+  cpu->local_vcpus = DistinctVcpus(cpu->allocations);
+
+  // Slice length: the shortest allocation keeps every slice overlapping at
+  // most two allocations; rounding down to a power of two preserves that
+  // (slices only shrink) and turns the lookup division into a shift, for
+  // at most 2x the slice count.
+  cpu->slice_length = cpu->allocations.empty() ? length : min_len;
+  if (pow2_slices) {
+    cpu->slice_length =
+        TimeNs{1} << (63 - __builtin_clzll(static_cast<std::uint64_t>(cpu->slice_length)));
+  }
+  FinalizeCpu(length, *cpu);
+  return cpu;
+}
+
+void SchedulingTable::FinalizeCpu(TimeNs length, CpuTable& cpu) {
   TABLEAU_CHECK(cpu.slice_length > 0);
   const auto len = static_cast<std::uint64_t>(cpu.slice_length);
   cpu.slice_shift = (len & (len - 1)) == 0 ? __builtin_ctzll(len) : -1;
@@ -102,20 +128,20 @@ void SchedulingTable::FinalizeCpu(CpuTable& cpu) const {
     cpu.alloc_vcpu[i] = cpu.allocations[i].vcpu;
   }
   for (std::size_t i = n; i < n + 2; ++i) {
-    cpu.alloc_start[i] = length_;
-    cpu.alloc_end[i] = length_;
+    cpu.alloc_start[i] = length;
+    cpu.alloc_end[i] = length;
     cpu.alloc_vcpu[i] = kIdleVcpu;
   }
 
   // slice_floor[s] = first allocation whose end is past the slice's start
   // (== the slice's first overlapping allocation when one exists, else the
   // next allocation after the slice, else the sentinel n).
-  const std::size_t num_slices = static_cast<std::size_t>(CeilDiv(length_, cpu.slice_length));
+  const std::size_t num_slices = static_cast<std::size_t>(CeilDiv(length, cpu.slice_length));
   cpu.slice_floor.resize(num_slices);
   std::size_t alloc_index = 0;
   for (std::size_t s = 0; s < num_slices; ++s) {
     const TimeNs slice_start = static_cast<TimeNs>(s) * cpu.slice_length;
-    const TimeNs slice_end = std::min(slice_start + cpu.slice_length, length_);
+    const TimeNs slice_end = std::min(slice_start + cpu.slice_length, length);
     while (alloc_index < n && cpu.allocations[alloc_index].end <= slice_start) {
       ++alloc_index;
     }
@@ -127,7 +153,7 @@ void SchedulingTable::FinalizeCpu(CpuTable& cpu) const {
 
 LookupResult SchedulingTable::Lookup(int cpu_index, TimeNs offset) const {
   TABLEAU_CHECK(offset >= 0 && offset < length_);
-  const CpuTable& cpu = cpus_[static_cast<std::size_t>(cpu_index)];
+  const CpuTable& cpu = *cpus_[static_cast<std::size_t>(cpu_index)];
   if (cpu.allocations.empty()) {
     return LookupResult{kIdleVcpu, length_};
   }
@@ -155,7 +181,7 @@ LookupResult SchedulingTable::Lookup(int cpu_index, TimeNs offset) const {
 
 LookupResult SchedulingTable::LookupLinear(int cpu_index, TimeNs offset) const {
   TABLEAU_CHECK(offset >= 0 && offset < length_);
-  const CpuTable& cpu = cpus_[static_cast<std::size_t>(cpu_index)];
+  const CpuTable& cpu = *cpus_[static_cast<std::size_t>(cpu_index)];
   for (const Allocation& alloc : cpu.allocations) {
     if (offset < alloc.start) {
       return LookupResult{kIdleVcpu, alloc.start};
@@ -170,8 +196,7 @@ LookupResult SchedulingTable::LookupLinear(int cpu_index, TimeNs offset) const {
 std::vector<int> SchedulingTable::CpusOf(VcpuId vcpu) const {
   std::vector<int> cpus;
   for (int c = 0; c < num_cpus(); ++c) {
-    const CpuTable& cpu = cpus_[static_cast<std::size_t>(c)];
-    for (const Allocation& alloc : cpu.allocations) {
+    for (const Allocation& alloc : cpu(c).allocations) {
       if (alloc.vcpu == vcpu) {
         cpus.push_back(c);
         break;
@@ -183,8 +208,8 @@ std::vector<int> SchedulingTable::CpusOf(VcpuId vcpu) const {
 
 TimeNs SchedulingTable::TotalService(VcpuId vcpu) const {
   TimeNs total = 0;
-  for (const CpuTable& cpu : cpus_) {
-    for (const Allocation& alloc : cpu.allocations) {
+  for (const auto& cpu : cpus_) {
+    for (const Allocation& alloc : cpu->allocations) {
       if (alloc.vcpu == vcpu) {
         total += alloc.Length();
       }
@@ -195,8 +220,8 @@ TimeNs SchedulingTable::TotalService(VcpuId vcpu) const {
 
 TimeNs SchedulingTable::MaxBlackout(VcpuId vcpu) const {
   std::vector<Allocation> service;
-  for (const CpuTable& cpu : cpus_) {
-    for (const Allocation& alloc : cpu.allocations) {
+  for (const auto& cpu : cpus_) {
+    for (const Allocation& alloc : cpu->allocations) {
       if (alloc.vcpu == vcpu) {
         service.push_back(alloc);
       }
@@ -222,95 +247,141 @@ TimeNs SchedulingTable::MaxBlackout(VcpuId vcpu) const {
 
 std::string SchedulingTable::Validate() const {
   for (int c = 0; c < num_cpus(); ++c) {
-    const CpuTable& cpu = cpus_[static_cast<std::size_t>(c)];
-    TimeNs prev_end = 0;
-    for (const Allocation& alloc : cpu.allocations) {
-      if (alloc.start < prev_end || alloc.end > length_ || alloc.start >= alloc.end) {
-        return "cpu " + std::to_string(c) + ": malformed or overlapping allocation";
-      }
-      prev_end = alloc.end;
-    }
-    if (!cpu.allocations.empty()) {
-      TimeNs min_len = length_;
-      for (const Allocation& alloc : cpu.allocations) {
-        min_len = std::min(min_len, alloc.Length());
-      }
-      // Power-of-two rounding may shorten slices but must never lengthen
-      // them past the shortest allocation (the two-overlap invariant).
-      if (cpu.slice_length <= 0 || cpu.slice_length > min_len) {
-        return "cpu " + std::to_string(c) + ": slice length exceeds shortest allocation";
-      }
-    }
-    const auto len = static_cast<std::uint64_t>(cpu.slice_length);
-    const std::int32_t want_shift =
-        (len != 0 && (len & (len - 1)) == 0) ? __builtin_ctzll(len) : -1;
-    if (cpu.slice_shift != want_shift) {
-      return "cpu " + std::to_string(c) + ": slice_shift inconsistent with slice_length";
-    }
-    if (cpu.slice_floor.size() !=
-        static_cast<std::size_t>(CeilDiv(length_, cpu.slice_length))) {
-      return "cpu " + std::to_string(c) + ": slice count != ceil(length / slice_length)";
-    }
-    // The SoA mirror must match the allocation records plus sentinels, and
-    // every slice floor must point at the first allocation ending past the
-    // slice start.
-    const std::size_t n = cpu.allocations.size();
-    if (cpu.alloc_start.size() != n + 2 || cpu.alloc_end.size() != n + 2 ||
-        cpu.alloc_vcpu.size() != n + 2) {
-      return "cpu " + std::to_string(c) + ": SoA mirror size mismatch";
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cpu.alloc_start[i] != cpu.allocations[i].start ||
-          cpu.alloc_end[i] != cpu.allocations[i].end ||
-          cpu.alloc_vcpu[i] != cpu.allocations[i].vcpu) {
-        return "cpu " + std::to_string(c) + ": SoA mirror desynced from allocations";
-      }
-    }
-    for (std::size_t i = n; i < n + 2; ++i) {
-      if (cpu.alloc_start[i] != length_ || cpu.alloc_end[i] != length_ ||
-          cpu.alloc_vcpu[i] != kIdleVcpu) {
-        return "cpu " + std::to_string(c) + ": bad SoA sentinel row";
-      }
-    }
-    // Slice starts only grow, so the first allocation ending past one is at
-    // or after the previous slice's: one forward pass finds every floor.
-    std::size_t want = 0;
-    for (std::size_t s = 0; s < cpu.slice_floor.size(); ++s) {
-      const TimeNs slice_start = static_cast<TimeNs>(s) * cpu.slice_length;
-      while (want < n && cpu.allocations[want].end <= slice_start) {
-        ++want;
-      }
-      if (cpu.slice_floor[s] != static_cast<std::int32_t>(want)) {
-        return "cpu " + std::to_string(c) + ": slice floor desynced at slice " +
-               std::to_string(s);
-      }
+    std::string violation = ValidateCpu(c);
+    if (!violation.empty()) {
+      return violation;
     }
   }
+  return ValidateExclusion(nullptr);
+}
 
-  // No vCPU may be allocated on two pCPUs at the same instant.
-  struct Event {
-    TimeNs time;
-    int delta;  // +1 start, -1 end.
-  };
-  std::map<VcpuId, std::vector<Event>> events;
-  for (const CpuTable& cpu : cpus_) {
+std::string SchedulingTable::ValidateCores(std::vector<int> cores) const {
+  std::sort(cores.begin(), cores.end());
+  std::vector<char> scope(cpus_.size(), 0);
+  for (const int c : cores) {
+    if (c < 0 || c >= num_cpus()) {
+      return "cpu " + std::to_string(c) + ": not in the table";
+    }
+    std::string violation = ValidateCpu(c);
+    if (!violation.empty()) {
+      return violation;
+    }
+    scope[static_cast<std::size_t>(c)] = 1;
+  }
+  return ValidateExclusion(&scope);
+}
+
+std::string SchedulingTable::ValidateCpu(int c) const {
+  const CpuTable& cpu = *cpus_[static_cast<std::size_t>(c)];
+  TimeNs prev_end = 0;
+  for (const Allocation& alloc : cpu.allocations) {
+    if (alloc.start < prev_end || alloc.end > length_ || alloc.start >= alloc.end) {
+      return "cpu " + std::to_string(c) + ": malformed or overlapping allocation";
+    }
+    prev_end = alloc.end;
+  }
+  if (!cpu.allocations.empty()) {
+    TimeNs min_len = length_;
     for (const Allocation& alloc : cpu.allocations) {
-      events[alloc.vcpu].push_back(Event{alloc.start, +1});
-      events[alloc.vcpu].push_back(Event{alloc.end, -1});
+      min_len = std::min(min_len, alloc.Length());
+    }
+    // Power-of-two rounding may shorten slices but must never lengthen
+    // them past the shortest allocation (the two-overlap invariant).
+    if (cpu.slice_length <= 0 || cpu.slice_length > min_len) {
+      return "cpu " + std::to_string(c) + ": slice length exceeds shortest allocation";
     }
   }
-  for (auto& [vcpu, list] : events) {
-    std::sort(list.begin(), list.end(), [](const Event& a, const Event& b) {
-      if (a.time != b.time) return a.time < b.time;
-      return a.delta < b.delta;  // Process ends before starts at the same instant.
-    });
-    int depth = 0;
-    for (const Event& e : list) {
-      depth += e.delta;
-      if (depth > 1) {
-        return "vcpu " + std::to_string(vcpu) + " allocated on two pCPUs concurrently";
+  const auto len = static_cast<std::uint64_t>(cpu.slice_length);
+  const std::int32_t want_shift =
+      (len != 0 && (len & (len - 1)) == 0) ? __builtin_ctzll(len) : -1;
+  if (cpu.slice_shift != want_shift) {
+    return "cpu " + std::to_string(c) + ": slice_shift inconsistent with slice_length";
+  }
+  if (cpu.slice_floor.size() != static_cast<std::size_t>(CeilDiv(length_, cpu.slice_length))) {
+    return "cpu " + std::to_string(c) + ": slice count != ceil(length / slice_length)";
+  }
+  // The SoA mirror must match the allocation records plus sentinels, and
+  // every slice floor must point at the first allocation ending past the
+  // slice start.
+  const std::size_t n = cpu.allocations.size();
+  if (cpu.alloc_start.size() != n + 2 || cpu.alloc_end.size() != n + 2 ||
+      cpu.alloc_vcpu.size() != n + 2) {
+    return "cpu " + std::to_string(c) + ": SoA mirror size mismatch";
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cpu.alloc_start[i] != cpu.allocations[i].start ||
+        cpu.alloc_end[i] != cpu.allocations[i].end ||
+        cpu.alloc_vcpu[i] != cpu.allocations[i].vcpu) {
+      return "cpu " + std::to_string(c) + ": SoA mirror desynced from allocations";
+    }
+  }
+  for (std::size_t i = n; i < n + 2; ++i) {
+    if (cpu.alloc_start[i] != length_ || cpu.alloc_end[i] != length_ ||
+        cpu.alloc_vcpu[i] != kIdleVcpu) {
+      return "cpu " + std::to_string(c) + ": bad SoA sentinel row";
+    }
+  }
+  // Slice starts only grow, so the first allocation ending past one is at
+  // or after the previous slice's: one forward pass finds every floor.
+  std::size_t want = 0;
+  for (std::size_t s = 0; s < cpu.slice_floor.size(); ++s) {
+    const TimeNs slice_start = static_cast<TimeNs>(s) * cpu.slice_length;
+    while (want < n && cpu.allocations[want].end <= slice_start) {
+      ++want;
+    }
+    if (cpu.slice_floor[s] != static_cast<std::int32_t>(want)) {
+      return "cpu " + std::to_string(c) + ": slice floor desynced at slice " + std::to_string(s);
+    }
+  }
+  // local_vcpus (second-level candidates, and the cross-core check's index)
+  // must be exactly the sorted distinct vCPUs of the allocations.
+  if (cpu.local_vcpus != DistinctVcpus(cpu.allocations)) {
+    return "cpu " + std::to_string(c) + ": local_vcpus != distinct vCPUs of its allocations";
+  }
+  return "";
+}
+
+std::string SchedulingTable::ValidateExclusion(const std::vector<char>* scope) const {
+  // No vCPU may be allocated on two pCPUs at the same instant. Each core's
+  // own ordering check already rules out self-overlap on one core, so only
+  // vCPUs present on two or more cores (found through the validated
+  // local_vcpus lists) need a sweep over their merged allocations.
+  std::vector<std::pair<VcpuId, int>> homes;
+  for (int c = 0; c < num_cpus(); ++c) {
+    for (const VcpuId vcpu : cpu(c).local_vcpus) {
+      homes.emplace_back(vcpu, c);
+    }
+  }
+  std::sort(homes.begin(), homes.end());
+  std::vector<std::pair<TimeNs, TimeNs>> spans;
+  for (std::size_t i = 0; i < homes.size();) {
+    std::size_t j = i + 1;
+    bool in_scope = scope == nullptr || (*scope)[static_cast<std::size_t>(homes[i].second)];
+    for (; j < homes.size() && homes[j].first == homes[i].first; ++j) {
+      in_scope = in_scope || (*scope)[static_cast<std::size_t>(homes[j].second)];
+    }
+    if (j - i >= 2 && in_scope) {
+      const VcpuId vcpu = homes[i].first;
+      spans.clear();
+      for (std::size_t k = i; k < j; ++k) {
+        for (const Allocation& alloc : cpu(homes[k].second).allocations) {
+          if (alloc.vcpu == vcpu) {
+            spans.emplace_back(alloc.start, alloc.end);
+          }
+        }
+      }
+      // Half-open spans sorted by start overlap iff one starts before the
+      // furthest end seen so far (back-to-back spans do not overlap).
+      std::sort(spans.begin(), spans.end());
+      TimeNs reach = spans.front().second;
+      for (std::size_t k = 1; k < spans.size(); ++k) {
+        if (spans[k].first < reach) {
+          return "vcpu " + std::to_string(vcpu) + " allocated on two pCPUs concurrently";
+        }
+        reach = std::max(reach, spans[k].second);
       }
     }
+    i = j;
   }
   return "";
 }
@@ -321,7 +392,8 @@ std::vector<std::uint8_t> SchedulingTable::Serialize() const {
   Append(out, kVersion);
   Append(out, length_);
   Append(out, static_cast<std::uint32_t>(cpus_.size()));
-  for (const CpuTable& cpu : cpus_) {
+  for (const auto& cpu_ptr : cpus_) {
+    const CpuTable& cpu = *cpu_ptr;
     Append(out, static_cast<std::uint32_t>(cpu.allocations.size()));
     Append(out, cpu.slice_length);
     Append(out, static_cast<std::uint32_t>(cpu.slice_floor.size()));
@@ -359,8 +431,10 @@ SchedulingTable SchedulingTable::Deserialize(const std::vector<std::uint8_t>& by
   SchedulingTable table;
   table.length_ = ReadAt<TimeNs>(bytes, pos);
   const auto num_cpus = ReadAt<std::uint32_t>(bytes, pos);
-  table.cpus_.resize(num_cpus);
-  for (CpuTable& cpu : table.cpus_) {
+  table.cpus_.reserve(num_cpus);
+  for (std::uint32_t c = 0; c < num_cpus; ++c) {
+    auto cpu_ptr = std::make_shared<CpuTable>();
+    CpuTable& cpu = *cpu_ptr;
     const auto num_allocs = ReadAt<std::uint32_t>(bytes, pos);
     cpu.slice_length = ReadAt<TimeNs>(bytes, pos);
     const auto num_slices = ReadAt<std::uint32_t>(bytes, pos);
@@ -384,8 +458,9 @@ SchedulingTable SchedulingTable::Deserialize(const std::vector<std::uint8_t>& by
     for (VcpuId& vcpu : cpu.local_vcpus) {
       vcpu = ReadAt<VcpuId>(bytes, pos);
     }
-    table.FinalizeCpu(cpu);
+    FinalizeCpu(table.length_, cpu);
     TABLEAU_CHECK(cpu.slice_floor.size() == num_slices);
+    table.cpus_.push_back(std::move(cpu_ptr));
   }
   TABLEAU_CHECK(pos == bytes.size());
   return table;

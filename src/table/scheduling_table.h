@@ -11,7 +11,9 @@
 #define SRC_TABLE_SCHEDULING_TABLE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/time.h"
@@ -32,6 +34,10 @@ namespace tableau {
 // SchedulingTable::Lookup). When `slice_length` is a power of two (every
 // freshly built table; see Build) `slice_shift` holds its log2 and the
 // slice index is a shift instead of a 64-bit division.
+//
+// A finalized CpuTable is immutable and shared: tables derived from a base
+// by replacing a few cores (SchedulingTable::WithCores) hold the very same
+// objects for every untouched core, so "unchanged" is a pointer compare.
 struct CpuTable {
   std::vector<Allocation> allocations;  // Sorted by start, non-overlapping.
   TimeNs slice_length = 0;
@@ -74,9 +80,23 @@ class SchedulingTable {
   static SchedulingTable BuildWithExactSlices(TimeNs length,
                                               std::vector<std::vector<Allocation>> per_cpu);
 
+  // `base` with the listed cores' allocations replaced (built as Build
+  // would; a core listed twice takes its last list). Every other core is
+  // shared with `base`, not copied, re-sliced or re-derived — the per-core
+  // incremental recomputation of Sec. 7.1.
+  static SchedulingTable WithCores(const SchedulingTable& base,
+                                   std::vector<std::pair<int, std::vector<Allocation>>> replaced);
+
   TimeNs length() const { return length_; }
   int num_cpus() const { return static_cast<int>(cpus_.size()); }
-  const CpuTable& cpu(int index) const { return cpus_[static_cast<std::size_t>(index)]; }
+  const CpuTable& cpu(int index) const { return *cpus_[static_cast<std::size_t>(index)]; }
+
+  // True if `other` holds the very same CpuTable object for pCPU `index`
+  // (and so the same allocations, slices and local vCPUs).
+  bool SharesCpu(const SchedulingTable& other, int index) const {
+    return index < other.num_cpus() &&
+           cpus_[static_cast<std::size_t>(index)] == other.cpus_[static_cast<std::size_t>(index)];
+  }
 
   // O(1) lookup via the slice table. `offset` must be in [0, length).
   LookupResult Lookup(int cpu, TimeNs offset) const;
@@ -95,10 +115,20 @@ class SchedulingTable {
   // the vCPU has no allocations at all.
   TimeNs MaxBlackout(VcpuId vcpu) const;
 
-  // Checks structural invariants (ordering, bounds, slice consistency, and
-  // that no vCPU is allocated on two pCPUs at the same instant). Returns an
-  // empty string on success, else a description of the first violation.
+  // Checks structural invariants (ordering, bounds, slice consistency,
+  // local-vCPU lists, and that no vCPU is allocated on two pCPUs at the same
+  // instant). Returns an empty string on success, else a description of the
+  // first violation.
   std::string Validate() const;
+
+  // Validate() scoped to the rebuilt `cores` of a WithCores table: the
+  // per-core checks run on those cores only, and the cross-core check on the
+  // vCPUs that have allocations on them. Precondition: every other core is
+  // shared with a base table that passed Validate(). Then any violation
+  // involves a rebuilt core — a cross-core overlap between two carried-over
+  // cores would already have been an overlap in the base — so the verdict
+  // equals Validate()'s.
+  std::string ValidateCores(std::vector<int> cores) const;
 
   // Binary wire format (the "hypercall format" pushed by the planner).
   std::vector<std::uint8_t> Serialize() const;
@@ -108,12 +138,23 @@ class SchedulingTable {
  private:
   static SchedulingTable BuildImpl(TimeNs length, std::vector<std::vector<Allocation>> per_cpu,
                                    bool pow2_slices);
+  // Sorts one pCPU's allocations (aborting on overlap or bounds violations)
+  // and derives its local vCPUs, slice length and lookup structures.
+  static std::shared_ptr<const CpuTable> MakeCpu(TimeNs length,
+                                                 std::vector<Allocation> allocations,
+                                                 bool pow2_slices, std::size_t index);
   // Derives slice_shift, slice_floor, and the SoA allocation mirror from
-  // `allocations` and `slice_length` (used by Build and Deserialize).
-  void FinalizeCpu(CpuTable& cpu) const;
+  // `allocations` and `slice_length` (used by MakeCpu and Deserialize).
+  static void FinalizeCpu(TimeNs length, CpuTable& cpu);
+
+  // Validate()'s per-core checks on pCPU `c`.
+  std::string ValidateCpu(int c) const;
+  // Cross-core exclusion over the vCPUs present on two or more pCPUs; with
+  // `scope` non-null, only those with an allocation on a pCPU it marks.
+  std::string ValidateExclusion(const std::vector<char>* scope) const;
 
   TimeNs length_ = 0;
-  std::vector<CpuTable> cpus_;
+  std::vector<std::shared_ptr<const CpuTable>> cpus_;
 };
 
 // Analytical wake-up latency profile of a vCPU under a table (capped mode):

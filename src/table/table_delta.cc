@@ -1,6 +1,7 @@
 #include "src/table/table_delta.h"
 
 #include <cstring>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -55,7 +56,9 @@ std::vector<std::uint8_t> SerializeDelta(const SchedulingTable& base,
                     "delta requires identical table geometry");
   std::vector<int> dirty;
   for (int cpu = 0; cpu < base.num_cpus(); ++cpu) {
-    if (base.cpu(cpu).allocations != next.cpu(cpu).allocations) {
+    // A core `next` shares with `base` is unchanged by construction.
+    if (!next.SharesCpu(base, cpu) &&
+        base.cpu(cpu).allocations != next.cpu(cpu).allocations) {
       dirty.push_back(cpu);
     }
   }
@@ -84,20 +87,17 @@ SchedulingTable ApplyDelta(const SchedulingTable& base,
   TABLEAU_CHECK_MSG(length == base.length() && num_cpus == base.num_cpus(),
                     "delta does not match the base table's geometry");
 
-  std::vector<std::vector<Allocation>> per_cpu(static_cast<std::size_t>(num_cpus));
-  for (int cpu = 0; cpu < num_cpus; ++cpu) {
-    per_cpu[static_cast<std::size_t>(cpu)] = base.cpu(cpu).allocations;
-  }
+  std::vector<std::pair<int, std::vector<Allocation>>> replaced;
   const auto dirty = ReadAt<std::uint32_t>(delta, pos);
   for (std::uint32_t i = 0; i < dirty; ++i) {
     const auto cpu = ReadAt<std::uint32_t>(delta, pos);
-    TABLEAU_CHECK(static_cast<int>(cpu) < num_cpus);
-    per_cpu[cpu] = ReadAllocations(delta, pos);
+    TABLEAU_CHECK(cpu < static_cast<std::uint32_t>(num_cpus));
+    replaced.emplace_back(static_cast<int>(cpu), ReadAllocations(delta, pos));
   }
   TABLEAU_CHECK(pos == delta.size());
-  // Slice tables and local-vCPU lists are derived, so Build restores the
-  // full structure.
-  return SchedulingTable::Build(length, std::move(per_cpu));
+  // Slice tables and local-vCPU lists are derived, so WithCores rebuilds
+  // them for the dirty cores; every other core is shared with `base`.
+  return SchedulingTable::WithCores(base, std::move(replaced));
 }
 
 int DeltaDirtyCores(const std::vector<std::uint8_t>& delta) {

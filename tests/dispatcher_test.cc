@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
+#include "src/common/rng.h"
 #include "src/core/dispatcher.h"
+#include "src/core/planner.h"
 #include "src/table/scheduling_table.h"
 
 namespace tableau {
@@ -329,6 +332,122 @@ TEST(Dispatcher, TimelinesRebuiltAfterSwitch) {
   dispatcher.ActiveTable(2000);
   EXPECT_FALSE(dispatcher.IsSplit(1));
   EXPECT_EQ(dispatcher.WakeupTargetCpu(1, 2600), 0);
+}
+
+TableauDispatcher::Config TrailingCore() {
+  TableauDispatcher::Config config;
+  config.split_participation = true;
+  return config;
+}
+
+// Promotes `table` on `dispatcher` through the switch protocol, then checks
+// that every timeline-backed answer (split flag, wake-up target, trailing-
+// core second-level locality) matches a fresh dispatcher that installed the
+// same table directly, at sampled offsets for every vCPU id up to max_vcpu.
+void SwitchAndCompare(TableauDispatcher& dispatcher, TimeNs& now,
+                      const std::shared_ptr<const SchedulingTable>& table, VcpuId max_vcpu,
+                      Rng& rng) {
+  dispatcher.InstallTable(table, now);
+  now = dispatcher.pending_switch_time();
+  ASSERT_EQ(&dispatcher.ActiveTable(now), table.get());
+  TableauDispatcher fresh(table->num_cpus(), TrailingCore());
+  fresh.InstallTable(table, 0);
+  for (VcpuId vcpu = 0; vcpu <= max_vcpu; ++vcpu) {
+    ASSERT_EQ(dispatcher.IsSplit(vcpu), fresh.IsSplit(vcpu)) << "vcpu " << vcpu;
+    for (int sample = 0; sample < 8; ++sample) {
+      const TimeNs at = now + rng.UniformInt(0, table->length() - 1);
+      ASSERT_EQ(dispatcher.WakeupTargetCpu(vcpu, at), fresh.WakeupTargetCpu(vcpu, at))
+          << "vcpu " << vcpu << " at " << at;
+      for (int cpu = 0; cpu < table->num_cpus(); ++cpu) {
+        ASSERT_EQ(dispatcher.SecondLevelLocal(vcpu, cpu, at),
+                  fresh.SecondLevelLocal(vcpu, cpu, at))
+            << "vcpu " << vcpu << " cpu " << cpu << " at " << at;
+      }
+    }
+  }
+}
+
+// Random arrival/departure streams of delta Solves: each switch re-derives
+// timelines only for the pCPUs whose CpuTable changed, and must answer like
+// a dispatcher that built them from scratch.
+TEST(Dispatcher, IncrementalTimelinesMatchFreshInstall) {
+  PlannerConfig config;
+  config.num_cpus = 6;
+  const Planner planner(config);
+  std::vector<VcpuRequest> requests;
+  for (VcpuId id = 0; id < 18; ++id) {
+    requests.push_back({id, 0.2, (id % 2 == 0 ? 1 : 10) * kMillisecond});
+  }
+  PlanResult plan = planner.Plan(requests);
+  ASSERT_TRUE(plan.success);
+  TableauDispatcher dispatcher(config.num_cpus, TrailingCore());
+  TimeNs now = 0;
+  dispatcher.InstallTable(std::make_shared<const SchedulingTable>(plan.table), now);
+  Rng rng(4242);
+  std::vector<VcpuId> live;
+  for (const VcpuRequest& request : requests) {
+    live.push_back(request.vcpu);
+  }
+  VcpuId next_id = 18;
+  for (int step = 0; step < 30; ++step) {
+    std::vector<VcpuRequest> added;
+    std::vector<VcpuId> departed;
+    if (live.size() > 12 && rng.UniformInt(0, 1) == 0) {
+      const auto index = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+      departed.push_back(live[index]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
+    } else {
+      added.push_back({next_id, 0.2, (next_id % 2 == 0 ? 1 : 10) * kMillisecond});
+      live.push_back(next_id++);
+    }
+    PlanResult next = planner.Solve(PlanRequest::Delta(plan, added, departed));
+    ASSERT_TRUE(next.success) << "step " << step;
+    ASSERT_LT(next.dirty_cores.size(), static_cast<std::size_t>(config.num_cpus));
+    SwitchAndCompare(dispatcher, now, std::make_shared<const SchedulingTable>(next.table),
+                     next_id, rng);
+    plan = std::move(next);
+  }
+}
+
+// The same with split vCPUs: random pCPUs of a table whose vCPUs span pCPUs
+// are replaced, so vCPUs gain and lose cores, become or stop being split,
+// and leave the table entirely.
+TEST(Dispatcher, IncrementalTimelinesMatchFreshInstallWithSplitVcpus) {
+  constexpr int kCpus = 4;
+  constexpr TimeNs kLength = 10000;
+  Rng rng(4343);
+  const auto random_core = [&]() {
+    std::vector<Allocation> core;
+    for (TimeNs t = rng.UniformInt(0, 300); t < kLength; t += rng.UniformInt(0, 300)) {
+      const TimeNs end = std::min(t + rng.UniformInt(1, 900), kLength);
+      core.push_back(Allocation{static_cast<VcpuId>(rng.UniformInt(0, 7)), t, end});
+      t = end;
+    }
+    return core;
+  };
+  std::vector<std::vector<Allocation>> per_cpu;
+  for (int c = 0; c < kCpus; ++c) {
+    per_cpu.push_back(random_core());
+  }
+  auto table = std::make_shared<const SchedulingTable>(
+      SchedulingTable::Build(kLength, std::move(per_cpu)));
+  TableauDispatcher dispatcher(kCpus, TrailingCore());
+  TimeNs now = 0;
+  dispatcher.InstallTable(table, now);
+  for (int step = 0; step < 60; ++step) {
+    std::vector<std::pair<int, std::vector<Allocation>>> replaced;
+    const int cores = static_cast<int>(rng.UniformInt(1, kCpus - 1));
+    for (int i = 0; i < cores; ++i) {
+      const int c = static_cast<int>(rng.UniformInt(0, kCpus - 1));
+      // Sometimes empty the pCPU, sometimes redraw it.
+      replaced.emplace_back(c, rng.UniformInt(0, 4) == 0 ? std::vector<Allocation>{}
+                                                          : random_core());
+    }
+    table = std::make_shared<const SchedulingTable>(
+        SchedulingTable::WithCores(*table, std::move(replaced)));
+    SwitchAndCompare(dispatcher, now, table, 8, rng);
+  }
 }
 
 }  // namespace

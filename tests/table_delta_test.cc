@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/common/rng.h"
 #include "src/core/planner.h"
 #include "src/table/table_delta.h"
@@ -56,6 +58,78 @@ TEST(TableDelta, MuchSmallerThanFullPushForLocalChange) {
   const SchedulingTable applied = ApplyDelta(base.table, delta);
   for (int cpu = 0; cpu < 12; ++cpu) {
     EXPECT_EQ(applied.cpu(cpu).allocations, next.table.cpu(cpu).allocations);
+  }
+}
+
+// The pCPU indices a delta encodes, in wire order.
+std::vector<int> EncodedCores(const std::vector<std::uint8_t>& delta) {
+  const auto read_u32 = [&](std::size_t pos) {
+    std::uint32_t value;
+    std::memcpy(&value, delta.data() + pos, sizeof(value));
+    return value;
+  };
+  std::size_t pos = 2 * sizeof(std::uint32_t) + sizeof(TimeNs) + sizeof(std::uint32_t);
+  const std::uint32_t count = read_u32(pos);
+  pos += sizeof(std::uint32_t);
+  std::vector<int> cores;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    cores.push_back(static_cast<int>(read_u32(pos)));
+    const std::uint32_t allocations = read_u32(pos + sizeof(std::uint32_t));
+    pos += 2 * sizeof(std::uint32_t) + allocations * (sizeof(VcpuId) + 2 * sizeof(TimeNs));
+  }
+  EXPECT_EQ(pos, delta.size());
+  return cores;
+}
+
+// A one-core delta Solve shares every other pCPU with its base. Over an
+// arrival/departure stream, the delta from the previous plan's table and
+// the delta from the table the receiver rebuilt last (as the hypercall path
+// chains them) both encode exactly dirty_cores, and applying either
+// reproduces the planner's table byte for byte.
+TEST(TableDelta, OneCoreSolveEncodesExactlyDirtyCores) {
+  PlannerConfig config;
+  config.num_cpus = 12;
+  const Planner planner(config);
+  std::vector<VcpuRequest> requests;
+  for (VcpuId id = 0; id < 44; ++id) {
+    requests.push_back({id, 0.25, (id % 3 == 0 ? 1 : 20) * kMillisecond});
+  }
+  PlanResult plan = planner.Plan(requests);
+  ASSERT_TRUE(plan.success);
+  SchedulingTable installed = SchedulingTable::Deserialize(plan.table.Serialize());
+  Rng rng(2024);
+  std::vector<VcpuId> live;
+  for (const VcpuRequest& request : requests) {
+    live.push_back(request.vcpu);
+  }
+  VcpuId next_id = 44;
+  for (int step = 0; step < 40; ++step) {
+    std::vector<VcpuRequest> added;
+    std::vector<VcpuId> departed;
+    if (step % 2 == 0) {
+      const auto index = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+      departed.push_back(live[index]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
+    } else {
+      added.push_back({next_id, 0.25, (next_id % 3 == 0 ? 1 : 20) * kMillisecond});
+      live.push_back(next_id++);
+    }
+    PlanResult next = planner.Solve(PlanRequest::Delta(plan, added, departed));
+    ASSERT_TRUE(next.success) << "step " << step;
+    ASSERT_EQ(next.dirty_cores.size(), 1u) << "step " << step;
+    for (int c = 0; c < config.num_cpus; ++c) {
+      EXPECT_EQ(next.table.SharesCpu(plan.table, c), c != next.dirty_cores.front())
+          << "step " << step << " cpu " << c;
+    }
+    const std::vector<std::uint8_t> wire = next.table.Serialize();
+    for (const SchedulingTable* base : {&plan.table, &installed}) {
+      const std::vector<std::uint8_t> delta = SerializeDelta(*base, next.table);
+      EXPECT_EQ(EncodedCores(delta), next.dirty_cores) << "step " << step;
+      EXPECT_EQ(ApplyDelta(*base, delta).Serialize(), wire) << "step " << step;
+    }
+    installed = ApplyDelta(installed, SerializeDelta(installed, next.table));
+    plan = std::move(next);
   }
 }
 

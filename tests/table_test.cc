@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "src/common/rng.h"
 #include "src/rt/edf_sim.h"
@@ -345,6 +348,264 @@ TEST(SchedulingTable, ValidateSliceFloorMatchesQuadraticReference) {
       ASSERT_EQ(table.Validate(), "") << "trial " << trial;
     }
   }
+}
+
+// Reference for Validate's cross-core exclusion check: the per-vCPU event
+// sweep over a std::map it replaced, run over every vCPU of every pCPU.
+// Returns Validate's message for the smallest overlapping vCPU, or "".
+std::string MapExclusionCheck(const SchedulingTable& table) {
+  struct Event {
+    TimeNs time;
+    int delta;  // +1 start, -1 end.
+  };
+  std::map<VcpuId, std::vector<Event>> events;
+  for (int c = 0; c < table.num_cpus(); ++c) {
+    for (const Allocation& alloc : table.cpu(c).allocations) {
+      events[alloc.vcpu].push_back(Event{alloc.start, +1});
+      events[alloc.vcpu].push_back(Event{alloc.end, -1});
+    }
+  }
+  for (auto& [vcpu, list] : events) {
+    std::sort(list.begin(), list.end(), [](const Event& a, const Event& b) {
+      if (a.time != b.time) return a.time < b.time;
+      return a.delta < b.delta;  // Process ends before starts at the same instant.
+    });
+    int depth = 0;
+    for (const Event& e : list) {
+      depth += e.delta;
+      if (depth > 1) {
+        return "vcpu " + std::to_string(vcpu) + " allocated on two pCPUs concurrently";
+      }
+    }
+  }
+  return "";
+}
+
+// One pCPU of random sorted, non-overlapping allocations. vCPUs come from a
+// pool shared by all pCPUs (ids 0..pool-1); with `busy` given, a pool vCPU is
+// kept only if none of its allocations elsewhere overlaps, and the slot gets
+// a pCPU-private id (100 + 10 * c + k) otherwise.
+std::vector<Allocation> RandomCore(Rng& rng, TimeNs length, int c, int pool,
+                                   std::vector<std::vector<Allocation>>* busy) {
+  std::vector<Allocation> core;
+  TimeNs t = rng.UniformInt(0, 50);
+  while (t < length) {
+    const TimeNs end = std::min(t + rng.UniformInt(1, 400), length);
+    auto vcpu = static_cast<VcpuId>(rng.UniformInt(0, pool - 1));
+    if (busy != nullptr) {
+      auto& mine = (*busy)[static_cast<std::size_t>(vcpu)];
+      const bool free = std::none_of(mine.begin(), mine.end(), [&](const Allocation& a) {
+        return a.start < end && t < a.end;
+      });
+      if (free) {
+        mine.push_back(Allocation{vcpu, t, end});
+      } else {
+        vcpu = static_cast<VcpuId>(100 + 10 * c + rng.UniformInt(0, 3));
+      }
+    }
+    core.push_back(Allocation{vcpu, t, end});
+    t = end + rng.UniformInt(0, 200);
+  }
+  return core;
+}
+
+// Two to six pCPUs whose vCPUs span pCPUs without ever overlapping in time:
+// a valid table with real multi-core vCPUs.
+std::vector<std::vector<Allocation>> SharedVcpuPerCpu(Rng& rng, TimeNs length) {
+  const int pool = static_cast<int>(rng.UniformInt(1, 6));
+  std::vector<std::vector<Allocation>> busy(static_cast<std::size_t>(pool));
+  std::vector<std::vector<Allocation>> per_cpu(static_cast<std::size_t>(rng.UniformInt(2, 6)));
+  for (std::size_t c = 0; c < per_cpu.size(); ++c) {
+    per_cpu[c] = RandomCore(rng, length, static_cast<int>(c), pool, &busy);
+  }
+  return per_cpu;
+}
+
+// Relabels one allocation on another pCPU that overlaps a random allocation
+// `a` in time with a's vCPU. Returns false if no such pair exists.
+bool PlantCrossCoreOverlap(Rng& rng, std::vector<std::vector<Allocation>>& per_cpu) {
+  const auto c1 = static_cast<std::size_t>(
+      rng.UniformInt(0, static_cast<std::int64_t>(per_cpu.size()) - 1));
+  if (per_cpu[c1].empty()) {
+    return false;
+  }
+  const Allocation a = per_cpu[c1][static_cast<std::size_t>(
+      rng.UniformInt(0, static_cast<std::int64_t>(per_cpu[c1].size()) - 1))];
+  for (std::size_t c2 = 0; c2 < per_cpu.size(); ++c2) {
+    for (Allocation& b : per_cpu[c2]) {
+      if (c2 != c1 && b.start < a.end && a.start < b.end) {
+        b.vcpu = a.vcpu;
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+bool HasMultiCoreVcpu(const SchedulingTable& table) {
+  std::map<VcpuId, int> cores;
+  for (int c = 0; c < table.num_cpus(); ++c) {
+    for (const VcpuId vcpu : table.cpu(c).local_vcpus) {
+      if (++cores[vcpu] > 1) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// Validate's flat sweep over multi-core vCPUs must agree with the map-based
+// reference on fuzzed tables whose vCPUs span pCPUs, with and without a
+// planted cross-core overlap, built or deserialized.
+TEST(SchedulingTable, ValidateExclusionMatchesMapReference) {
+  Rng rng(1414);
+  int multi_core = 0;
+  int planted = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const TimeNs length = rng.UniformInt(500, 20000);
+    std::vector<std::vector<Allocation>> per_cpu = SharedVcpuPerCpu(rng, length);
+    const bool plant = trial % 2 == 1 && PlantCrossCoreOverlap(rng, per_cpu);
+    const SchedulingTable table = SchedulingTable::Build(length, std::move(per_cpu));
+    const std::string want = MapExclusionCheck(table);
+    ASSERT_EQ(want.empty(), !plant) << "trial " << trial;
+    ASSERT_EQ(table.Validate(), want) << "trial " << trial;
+    ASSERT_EQ(SchedulingTable::Deserialize(table.Serialize()).Validate(), want)
+        << "trial " << trial;
+    multi_core += HasMultiCoreVcpu(table) ? 1 : 0;
+    planted += plant ? 1 : 0;
+  }
+  EXPECT_GT(multi_core, 300);
+  EXPECT_GT(planted, 150);
+}
+
+template <typename T>
+void Put(std::vector<std::uint8_t>& out, T value) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+  out.insert(out.end(), p, p + sizeof(T));
+}
+
+// A hand-built v1 wire blob of one 1000-ns pCPU holding vCPU 3 on [0, 500)
+// and vCPU 7 on [500, 1000) (slice length 256, four slices), carrying
+// `locals` as its local-vCPU list.
+std::vector<std::uint8_t> OneCpuBlob(const std::vector<VcpuId>& locals) {
+  std::vector<std::uint8_t> out;
+  Put<std::uint32_t>(out, 0x53'4c'42'54);  // "TBLS".
+  Put<std::uint32_t>(out, 1);              // Version.
+  Put<TimeNs>(out, 1000);                  // Table length.
+  Put<std::uint32_t>(out, 1);              // pCPUs.
+  Put<std::uint32_t>(out, 2);              // Allocations.
+  Put<TimeNs>(out, 256);                   // Slice length.
+  Put<std::uint32_t>(out, 4);              // Slices.
+  Put<std::uint32_t>(out, static_cast<std::uint32_t>(locals.size()));
+  for (const Allocation& alloc : {Allocation{3, 0, 500}, Allocation{7, 500, 1000}}) {
+    Put(out, alloc.vcpu);
+    Put(out, alloc.start);
+    Put(out, alloc.end);
+  }
+  for (const std::int32_t index : {0, -1, 0, 1, 1, -1, 1, -1}) {  // {first, second} per slice.
+    Put(out, index);
+  }
+  for (const VcpuId vcpu : locals) {
+    Put(out, vcpu);
+  }
+  return out;
+}
+
+// Deserialize takes the local-vCPU list from the wire and the second-level
+// scheduler trusts it, so Validate must reject any list that is not the
+// sorted distinct vCPUs of the pCPU's allocations.
+TEST(SchedulingTable, ValidateRejectsWrongLocalVcpus) {
+  const std::vector<std::uint8_t> good = OneCpuBlob({3, 7});
+  EXPECT_EQ(good, SchedulingTable::Build(1000, {{{3, 0, 500}, {7, 500, 1000}}}).Serialize());
+  EXPECT_EQ(SchedulingTable::Deserialize(good).Validate(), "");
+  const std::vector<std::vector<VcpuId>> wrong = {{}, {3}, {7}, {7, 3}, {3, 3, 7}, {3, 7, 9}, {3, 8}};
+  for (const std::vector<VcpuId>& locals : wrong) {
+    const SchedulingTable table = SchedulingTable::Deserialize(OneCpuBlob(locals));
+    EXPECT_EQ(table.Validate(), "cpu 0: local_vcpus != distinct vCPUs of its allocations")
+        << "locals of size " << locals.size();
+    EXPECT_EQ(table.ValidateCores({0}), table.Validate());
+  }
+}
+
+// WithCores shares every pCPU it does not replace and builds the replaced
+// ones exactly as Build would.
+TEST(SchedulingTable, WithCoresSharesUntouchedCores) {
+  Rng rng(1616);
+  for (int trial = 0; trial < 100; ++trial) {
+    const TimeNs length = rng.UniformInt(500, 20000);
+    std::vector<std::vector<Allocation>> per_cpu = SharedVcpuPerCpu(rng, length);
+    const SchedulingTable base = SchedulingTable::Build(length, per_cpu);
+    const int c = static_cast<int>(rng.UniformInt(0, base.num_cpus() - 1));
+    std::vector<Allocation> replacement = RandomCore(rng, length, c, 1000, nullptr);
+    per_cpu[static_cast<std::size_t>(c)] = replacement;
+    std::reverse(replacement.begin(), replacement.end());  // Unsorted input is sorted.
+    const SchedulingTable next = SchedulingTable::WithCores(base, {{c, std::move(replacement)}});
+    EXPECT_EQ(next.Serialize(), SchedulingTable::Build(length, per_cpu).Serialize());
+    for (int other = 0; other < base.num_cpus(); ++other) {
+      EXPECT_EQ(next.SharesCpu(base, other), other != c);
+      EXPECT_EQ(&next.cpu(other) == &base.cpu(other), other != c);
+    }
+  }
+}
+
+// The scoped self-check a delta Solve runs must agree with full Validate()
+// on tables made from a valid base by replacing k random pCPUs, whether the
+// replacements are valid, overlap a carried-over vCPU in time, or carry a
+// corrupted slice floor or local-vCPU list.
+TEST(SchedulingTable, ValidateCoresMatchesFullValidate) {
+  Rng rng(1515);
+  int overlapping = 0;  // Mode-1 tables with a cross-core overlap.
+  for (int trial = 0; trial < 600; ++trial) {
+    const TimeNs length = rng.UniformInt(500, 20000);
+    const SchedulingTable base = SchedulingTable::Build(length, SharedVcpuPerCpu(rng, length));
+    ASSERT_EQ(base.Validate(), "") << "trial " << trial;
+    const int mode = trial % 4;
+    std::vector<int> cores;
+    for (int c = 0; c < base.num_cpus(); ++c) {
+      cores.push_back(c);
+    }
+    for (std::size_t i = cores.size() - 1; i > 0; --i) {
+      std::swap(cores[i], cores[static_cast<std::size_t>(
+                              rng.UniformInt(0, static_cast<std::int64_t>(i)))]);
+    }
+    cores.resize(static_cast<std::size_t>(rng.UniformInt(1, base.num_cpus())));
+    std::vector<std::pair<int, std::vector<Allocation>>> replaced;
+    for (const int c : cores) {
+      if (mode == 1) {
+        // Pool vCPUs drawn with no regard for the other pCPUs: often a real
+        // cross-core overlap, sometimes not.
+        replaced.emplace_back(c, RandomCore(rng, length, c, 6, nullptr));
+      } else {
+        // Valid: the same pCPU re-drawn with pCPU-private vCPUs.
+        std::vector<Allocation> core = RandomCore(rng, length, c, 1, nullptr);
+        for (Allocation& alloc : core) {
+          alloc.vcpu = static_cast<VcpuId>(1000 + c);
+        }
+        replaced.emplace_back(c, std::move(core));
+      }
+    }
+    SchedulingTable table = SchedulingTable::WithCores(base, std::move(replaced));
+    const int victim = cores[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(cores.size()) - 1))];
+    auto& cpu = const_cast<CpuTable&>(table.cpu(victim));
+    if (mode == 2) {
+      const auto s = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(cpu.slice_floor.size()) - 1));
+      cpu.slice_floor[s] += 1;
+    } else if (mode == 3) {
+      cpu.local_vcpus.push_back(5000);
+    }
+    const std::string full = table.Validate();
+    ASSERT_EQ(table.ValidateCores(cores), full) << "trial " << trial;
+    if (mode == 0) {
+      ASSERT_EQ(full, "") << "trial " << trial;
+    } else if (mode >= 2) {
+      ASSERT_NE(full, "") << "trial " << trial;
+    } else {
+      overlapping += full.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(overlapping, 100);
 }
 
 TEST(SchedulingTable, SerializeRoundTrip) {
