@@ -119,6 +119,12 @@ inline void RecordScenarioMetrics(Scenario& scenario) {
   }
 }
 
+// Mean simulated cost (us) of one scheduler operation, read from the
+// machine's SchedOpMetric(op) histogram in `metrics`.
+inline double MeanOpCostUs(const obs::MetricsSnapshot& metrics, SchedOp op) {
+  return ToUs(static_cast<TimeNs>(metrics.values.at(SchedOpMetric(op)).hist.Mean()));
+}
+
 // For planner-only benches (no machine): fold a registry's snapshot directly.
 inline void RecordRegistryMetrics(obs::MetricsRegistry& registry) {
   AccumulatedMetrics::Instance().Record(registry.Snapshot());

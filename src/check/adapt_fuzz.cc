@@ -2,30 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
 #include "src/check/table_verifier.h"
+#include "src/common/parse.h"
 #include "src/common/rng.h"
 #include "src/fleet/host.h"
 
 namespace tableau::check {
 namespace {
-
-std::uint64_t Mix(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t x = a * 0x9e3779b97f4a7c15ULL + b + 0x632be59bd9b4e019ULL;
-  x ^= x >> 29;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 32;
-  return x;
-}
-
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 std::string FormatDemand(const std::vector<double>& demand) {
   std::ostringstream out;
@@ -36,7 +22,7 @@ std::string FormatDemand(const std::vector<double>& demand) {
     if (demand[i] < 0) {
       out << "x";  // Explicit no-data window.
     } else {
-      out << FormatDouble(demand[i]);
+      out << FormatReal(demand[i]);
     }
   }
   return out.str();
@@ -47,13 +33,8 @@ bool ParseDemand(const std::string& text, std::vector<double>* demand) {
   std::istringstream in(text);
   std::string token;
   while (std::getline(in, token, ',')) {
-    if (token == "x") {
-      demand->push_back(-1.0);
-      continue;
-    }
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || value < 0) {
+    double value = -1.0;  // "x": an explicit no-data window.
+    if (token != "x" && !ParseReal(token.c_str(), /*positive=*/false, &value)) {
       return false;
     }
     demand->push_back(value);
@@ -72,25 +53,25 @@ std::string FormatAdaptSpec(const AdaptScenarioSpec& spec) {
   out << "slots_per_core=" << spec.slots_per_core << "\n";
   out << "window_ns=" << spec.window_ns << "\n";
   out << "windows=" << spec.windows << "\n";
-  out << "min_utilization=" << FormatDouble(spec.min_utilization) << "\n";
-  out << "max_utilization=" << FormatDouble(spec.max_utilization) << "\n";
+  out << "min_utilization=" << FormatReal(spec.min_utilization) << "\n";
+  out << "max_utilization=" << FormatReal(spec.max_utilization) << "\n";
   out << "predictor_history=" << spec.policy.predictor.history << "\n";
   out << "predictor_fit_window=" << spec.policy.predictor.fit_window << "\n";
   out << "predictor_horizon=" << spec.policy.predictor.horizon << "\n";
-  out << "predictor_quantile=" << FormatDouble(spec.policy.predictor.quantile)
+  out << "predictor_quantile=" << FormatReal(spec.policy.predictor.quantile)
       << "\n";
-  out << "headroom=" << FormatDouble(spec.policy.headroom) << "\n";
-  out << "quantize=" << FormatDouble(spec.policy.quantize) << "\n";
-  out << "grow_deadband=" << FormatDouble(spec.policy.grow_deadband) << "\n";
-  out << "shrink_deadband=" << FormatDouble(spec.policy.shrink_deadband) << "\n";
+  out << "headroom=" << FormatReal(spec.policy.headroom) << "\n";
+  out << "quantize=" << FormatReal(spec.policy.quantize) << "\n";
+  out << "grow_deadband=" << FormatReal(spec.policy.grow_deadband) << "\n";
+  out << "shrink_deadband=" << FormatReal(spec.policy.shrink_deadband) << "\n";
   out << "cooldown_windows=" << spec.policy.cooldown_windows << "\n";
   out << "saturation_threshold="
-      << FormatDouble(spec.policy.saturation_threshold) << "\n";
-  out << "saturation_growth=" << FormatDouble(spec.policy.saturation_growth)
+      << FormatReal(spec.policy.saturation_threshold) << "\n";
+  out << "saturation_growth=" << FormatReal(spec.policy.saturation_growth)
       << "\n";
-  out << "floor_quantile=" << FormatDouble(spec.policy.floor_quantile) << "\n";
+  out << "floor_quantile=" << FormatReal(spec.policy.floor_quantile) << "\n";
   for (const AdaptVmFuzzSpec& vm : spec.vms) {
-    out << "vm=init:" << FormatDouble(vm.initial)
+    out << "vm=init:" << FormatReal(vm.initial)
         << " latency_ns:" << vm.latency_goal
         << " demand:" << FormatDemand(vm.demand) << "\n";
   }
@@ -115,46 +96,48 @@ std::optional<AdaptScenarioSpec> ParseAdaptSpec(const std::string& text) {
     }
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
+    const char* v = value.c_str();
+    bool ok = true;
     if (key == "seed") {
-      spec.seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseU64(v, &spec.seed);
     } else if (key == "num_cpus") {
-      spec.num_cpus = std::atoi(value.c_str());
+      ok = ParseInt(v, 0, &spec.num_cpus);
     } else if (key == "cores_per_socket") {
-      spec.cores_per_socket = std::atoi(value.c_str());
+      ok = ParseInt(v, 0, &spec.cores_per_socket);
     } else if (key == "slots_per_core") {
-      spec.slots_per_core = std::atoi(value.c_str());
+      ok = ParseInt(v, 0, &spec.slots_per_core);
     } else if (key == "window_ns") {
-      spec.window_ns = std::strtoll(value.c_str(), nullptr, 10);
+      ok = ParseI64(v, 0, &spec.window_ns);
     } else if (key == "windows") {
-      spec.windows = std::atoi(value.c_str());
+      ok = ParseInt(v, 0, &spec.windows);
     } else if (key == "min_utilization") {
-      spec.min_utilization = std::strtod(value.c_str(), nullptr);
+      ok = ParseReal(v, false, &spec.min_utilization);
     } else if (key == "max_utilization") {
-      spec.max_utilization = std::strtod(value.c_str(), nullptr);
+      ok = ParseReal(v, false, &spec.max_utilization);
     } else if (key == "predictor_history") {
-      spec.policy.predictor.history = std::atoi(value.c_str());
+      ok = ParseInt(v, 0, &spec.policy.predictor.history);
     } else if (key == "predictor_fit_window") {
-      spec.policy.predictor.fit_window = std::atoi(value.c_str());
+      ok = ParseInt(v, 0, &spec.policy.predictor.fit_window);
     } else if (key == "predictor_horizon") {
-      spec.policy.predictor.horizon = std::atoi(value.c_str());
+      ok = ParseInt(v, 0, &spec.policy.predictor.horizon);
     } else if (key == "predictor_quantile") {
-      spec.policy.predictor.quantile = std::strtod(value.c_str(), nullptr);
+      ok = ParseReal(v, false, &spec.policy.predictor.quantile);
     } else if (key == "headroom") {
-      spec.policy.headroom = std::strtod(value.c_str(), nullptr);
+      ok = ParseReal(v, false, &spec.policy.headroom);
     } else if (key == "quantize") {
-      spec.policy.quantize = std::strtod(value.c_str(), nullptr);
+      ok = ParseReal(v, false, &spec.policy.quantize);
     } else if (key == "grow_deadband") {
-      spec.policy.grow_deadband = std::strtod(value.c_str(), nullptr);
+      ok = ParseReal(v, false, &spec.policy.grow_deadband);
     } else if (key == "shrink_deadband") {
-      spec.policy.shrink_deadband = std::strtod(value.c_str(), nullptr);
+      ok = ParseReal(v, false, &spec.policy.shrink_deadband);
     } else if (key == "cooldown_windows") {
-      spec.policy.cooldown_windows = std::atoi(value.c_str());
+      ok = ParseInt(v, 0, &spec.policy.cooldown_windows);
     } else if (key == "saturation_threshold") {
-      spec.policy.saturation_threshold = std::strtod(value.c_str(), nullptr);
+      ok = ParseReal(v, false, &spec.policy.saturation_threshold);
     } else if (key == "saturation_growth") {
-      spec.policy.saturation_growth = std::strtod(value.c_str(), nullptr);
+      ok = ParseReal(v, false, &spec.policy.saturation_growth);
     } else if (key == "floor_quantile") {
-      spec.policy.floor_quantile = std::strtod(value.c_str(), nullptr);
+      ok = ParseReal(v, false, &spec.policy.floor_quantile);
     } else if (key == "vm") {
       AdaptVmFuzzSpec vm;
       std::istringstream fields(value);
@@ -168,17 +151,17 @@ std::optional<AdaptScenarioSpec> ParseAdaptSpec(const std::string& text) {
         }
         const std::string name = field.substr(0, colon);
         const std::string body = field.substr(colon + 1);
+        bool field_ok = false;
         if (name == "init") {
-          vm.initial = std::strtod(body.c_str(), nullptr);
+          field_ok = ParseReal(body.c_str(), false, &vm.initial);
           have_init = true;
         } else if (name == "latency_ns") {
-          vm.latency_goal = std::strtoll(body.c_str(), nullptr, 10);
+          field_ok = ParseI64(body.c_str(), 0, &vm.latency_goal);
         } else if (name == "demand") {
-          if (!ParseDemand(body, &vm.demand)) {
-            return std::nullopt;
-          }
+          field_ok = ParseDemand(body, &vm.demand);
           have_demand = true;
-        } else {
+        }
+        if (!field_ok) {
           return std::nullopt;
         }
       }
@@ -187,6 +170,9 @@ std::optional<AdaptScenarioSpec> ParseAdaptSpec(const std::string& text) {
       }
       spec.vms.push_back(std::move(vm));
     } else {
+      return std::nullopt;
+    }
+    if (!ok) {
       return std::nullopt;
     }
   }
@@ -375,8 +361,8 @@ AdaptCheckOutcome RunAdaptScenario(const AdaptScenarioSpec& spec) {
           "w=" + std::to_string(w) + " vm " + std::to_string(meta[j].vm);
       outcome.resize_log.push_back("w=" + std::to_string(w) + " slot=" +
                                    std::to_string(pending[j].slot) + " " +
-                                   FormatDouble(old) + "->" +
-                                   FormatDouble(next));
+                                   FormatReal(old) + "->" +
+                                   FormatReal(next));
       ++outcome.resizes;
       // (b) Hysteresis: deadbands around the live reservation, and at least
       // cooldown_windows + 1 data windows between commits per VM.
@@ -389,15 +375,15 @@ AdaptCheckOutcome RunAdaptScenario(const AdaptScenarioSpec& spec) {
       }
       if (next > old && next - old <= policy.grow_deadband - 1e-9) {
         outcome.violations.push_back("deadband: " + where + " grew " +
-                                     FormatDouble(old) + "->" +
-                                     FormatDouble(next) +
+                                     FormatReal(old) + "->" +
+                                     FormatReal(next) +
                                      " inside the grow deadband");
       }
       if (next < old) {
         if (old - next <= policy.shrink_deadband - 1e-9) {
           outcome.violations.push_back("deadband: " + where + " shrank " +
-                                       FormatDouble(old) + "->" +
-                                       FormatDouble(next) +
+                                       FormatReal(old) + "->" +
+                                       FormatReal(next) +
                                        " inside the shrink deadband");
         }
         // (c) Never below the demonstrated-demand floor (clamped: a floor
@@ -408,18 +394,18 @@ AdaptCheckOutcome RunAdaptScenario(const AdaptScenarioSpec& spec) {
                      spec.max_utilization);
         if (next < floor - 1e-9) {
           outcome.violations.push_back(
-              "floor: " + where + " shrank to " + FormatDouble(next) +
+              "floor: " + where + " shrank to " + FormatReal(next) +
               " below the observed p" +
               std::to_string(static_cast<int>(policy.floor_quantile * 100)) +
-              " demand " + FormatDouble(floor));
+              " demand " + FormatReal(floor));
         }
       }
       if (next < spec.min_utilization - 1e-9 ||
           next > spec.max_utilization + 1e-9) {
         outcome.violations.push_back("clamp: " + where + " committed " +
-                                     FormatDouble(next) + " outside [" +
-                                     FormatDouble(spec.min_utilization) + ", " +
-                                     FormatDouble(spec.max_utilization) + "]");
+                                     FormatReal(next) + " outside [" +
+                                     FormatReal(spec.min_utilization) + ", " +
+                                     FormatReal(spec.max_utilization) + "]");
       }
       shadow.committed_before = true;
       shadow.data_since_commit = 0;
@@ -443,7 +429,7 @@ std::string AdaptCategoryOf(const std::vector<std::string>& violations) {
 namespace {
 
 AdaptScenarioSpec DrawAdaptSpec(std::uint64_t seed, int attempt) {
-  Rng rng(Mix(seed, static_cast<std::uint64_t>(attempt)));
+  Rng rng(MixSeeds(seed, static_cast<std::uint64_t>(attempt)));
   AdaptScenarioSpec spec;
   spec.seed = seed;
   spec.num_cpus = 1 << rng.UniformInt(1, 3);  // 2, 4, or 8.

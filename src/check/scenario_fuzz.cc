@@ -9,6 +9,7 @@
 #include "src/check/oracles.h"
 #include "src/check/table_verifier.h"
 #include "src/common/check.h"
+#include "src/common/parse.h"
 #include "src/common/rng.h"
 #include "src/core/replan.h"
 #include "src/faults/fault_plan.h"
@@ -19,23 +20,6 @@
 #include "src/workloads/stress.h"
 
 namespace tableau::check {
-namespace {
-
-std::uint64_t Mix(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t x = a * 0x9e3779b97f4a7c15ULL + b + 0x632be59bd9b4e019ULL;
-  x ^= x >> 29;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 32;
-  return x;
-}
-
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-}  // namespace
 
 const char* WorkloadKindName(WorkloadKind kind) {
   switch (kind) {
@@ -73,15 +57,15 @@ std::string FormatSpec(const ScenarioSpec& spec) {
   out << "guest_cpus=" << spec.guest_cpus << "\n";
   out << "cores_per_socket=" << spec.cores_per_socket << "\n";
   out << "duration_ns=" << spec.duration << "\n";
-  out << "fault_intensity=" << FormatDouble(spec.fault_intensity) << "\n";
+  out << "fault_intensity=" << FormatReal(spec.fault_intensity) << "\n";
   out << "fault_seed=" << spec.fault_seed << "\n";
-  out << "planner_failure=" << FormatDouble(spec.planner_failure) << "\n";
+  out << "planner_failure=" << FormatReal(spec.planner_failure) << "\n";
   out << "replan_at_ns=" << spec.replan_at << "\n";
   out << "slip_ns=" << spec.slip_ns << "\n";
   out << "mutant=" << MutantKindName(spec.mutant) << "\n";
   out << "mutant_stride=" << spec.mutant_stride << "\n";
   for (const VmFuzzSpec& vm : spec.vms) {
-    out << "vm=vcpus:" << vm.vcpus << " util:" << FormatDouble(vm.utilization)
+    out << "vm=vcpus:" << vm.vcpus << " util:" << FormatReal(vm.utilization)
         << " latency_ns:" << vm.latency_goal
         << " workload:" << WorkloadKindName(vm.workload)
         << " gang:" << (vm.gang ? 1 : 0) << "\n";
@@ -107,45 +91,50 @@ std::optional<ScenarioSpec> ParseSpec(const std::string& text) {
     }
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
+    const char* v = value.c_str();
+    bool ok = true;
     if (key == "seed") {
-      spec.seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseU64(v, &spec.seed);
     } else if (key == "scheduler") {
       const auto kind = SchedKindFromName(value);
       if (!kind) return std::nullopt;
       spec.scheduler = *kind;
     } else if (key == "capped") {
+      ok = value == "0" || value == "1";
       spec.capped = value == "1";
     } else if (key == "guest_cpus") {
-      spec.guest_cpus = std::atoi(value.c_str());
+      ok = ParseInt(v, 0, &spec.guest_cpus);
     } else if (key == "cores_per_socket") {
-      spec.cores_per_socket = std::atoi(value.c_str());
+      ok = ParseInt(v, 0, &spec.cores_per_socket);
     } else if (key == "duration_ns") {
-      spec.duration = std::strtoll(value.c_str(), nullptr, 10);
+      ok = ParseI64(v, 0, &spec.duration);
     } else if (key == "fault_intensity") {
-      spec.fault_intensity = std::strtod(value.c_str(), nullptr);
+      ok = ParseReal(v, false, &spec.fault_intensity);
     } else if (key == "fault_seed") {
-      spec.fault_seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseU64(v, &spec.fault_seed);
     } else if (key == "planner_failure") {
-      spec.planner_failure = std::strtod(value.c_str(), nullptr);
+      ok = ParseReal(v, false, &spec.planner_failure);
     } else if (key == "replan_at_ns") {
-      spec.replan_at = std::strtoll(value.c_str(), nullptr, 10);
+      ok = ParseI64(v, 0, &spec.replan_at);
     } else if (key == "slip_ns") {
-      spec.slip_ns = std::strtoll(value.c_str(), nullptr, 10);
+      ok = ParseI64(v, 0, &spec.slip_ns);
     } else if (key == "mutant") {
       const auto kind = MutantKindFromName(value);
       if (!kind) return std::nullopt;
       spec.mutant = *kind;
     } else if (key == "mutant_stride") {
-      spec.mutant_stride = std::atoi(value.c_str());
+      ok = ParseInt(v, 0, &spec.mutant_stride);
     } else if (key == "vm") {
       VmFuzzSpec vm;
       char workload[32] = {0};
       int gang = 0;
       long long latency = 0;
+      int consumed = 0;
       if (std::sscanf(value.c_str(),
-                      "vcpus:%d util:%lf latency_ns:%lld workload:%31s gang:%d",
-                      &vm.vcpus, &vm.utilization, &latency, workload,
-                      &gang) != 5) {
+                      "vcpus:%d util:%lf latency_ns:%lld workload:%31s gang:%d%n",
+                      &vm.vcpus, &vm.utilization, &latency, workload, &gang,
+                      &consumed) != 5 ||
+          static_cast<std::size_t>(consumed) != value.size()) {
         return std::nullopt;
       }
       vm.latency_goal = static_cast<TimeNs>(latency);
@@ -155,6 +144,9 @@ std::optional<ScenarioSpec> ParseSpec(const std::string& text) {
       vm.gang = gang != 0;
       spec.vms.push_back(vm);
     } else {
+      return std::nullopt;
+    }
+    if (!ok) {
       return std::nullopt;
     }
   }
@@ -230,7 +222,7 @@ bool FeasibleSpec(const ScenarioSpec& spec) {
 namespace {
 
 ScenarioSpec DrawSpec(std::uint64_t seed, int attempt) {
-  Rng rng(Mix(seed, static_cast<std::uint64_t>(attempt)));
+  Rng rng(MixSeeds(seed, static_cast<std::uint64_t>(attempt)));
   ScenarioSpec spec;
   spec.seed = seed;
   spec.scheduler = kAllSchedKinds[rng.UniformInt(0, 4)];
@@ -249,7 +241,7 @@ ScenarioSpec DrawSpec(std::uint64_t seed, int attempt) {
   spec.cores_per_socket =
       spec.guest_cpus <= 2 ? spec.guest_cpus : (spec.guest_cpus + 1) / 2;
   spec.duration = rng.UniformInt(4, 12) * 5 * kMillisecond;
-  spec.fault_seed = Mix(seed, 0x5eed);
+  spec.fault_seed = MixSeeds(seed, 0x5eed);
   if (rng.UniformDouble() < 0.5) {
     spec.fault_intensity = 0.05 * rng.UniformInt(1, 10);
   }

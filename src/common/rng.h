@@ -10,6 +10,16 @@
 
 namespace tableau {
 
+// Folds `b` into seed `a` (a 64-bit finalizer): derives independent seeds
+// for retries or sub-streams from one base seed.
+inline std::uint64_t MixSeeds(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t x = a * 0x9e3779b97f4a7c15ULL + b + 0x632be59bd9b4e019ULL;
+  x ^= x >> 29;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 32;
+  return x;
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) {

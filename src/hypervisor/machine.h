@@ -132,10 +132,6 @@ class Machine {
   // against the old balance.
   void SettleAccounting(CpuId cpu) { SettleService(cpu); }
 
-  // --- Statistics ---
-
-  OpStats& op_stats() { return op_stats_; }
-
   // Event trace (xentrace analog). Disabled by default; enable with
   // trace().set_enabled(true) before Start().
   TraceBuffer& trace() { return trace_; }
@@ -143,7 +139,8 @@ class Machine {
 
   // Machine-owned metrics registry (machine.*, sim.*, trace.*, plus
   // whatever the attached scheduler registers). Enabled by default; metrics
-  // are pure observers and never perturb the simulation.
+  // are pure observers and never perturb the simulation. Scheduler-op costs
+  // (Tables 1-2) are the SchedOpMetric(op) histograms.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -216,7 +213,6 @@ class Machine {
   TimeNs op_cost_ = 0;
   TimeNs carryover_cost_ = 0;
 
-  OpStats op_stats_;
   TraceBuffer trace_;
   obs::MetricsRegistry metrics_;
   // Hot-path metric handles, resolved once in the constructor (before the

@@ -13,7 +13,6 @@
 #define SRC_HYPERVISOR_OVERHEAD_H_
 
 #include "src/common/time.h"
-#include "src/stats/histogram.h"
 
 namespace tableau {
 
@@ -48,32 +47,19 @@ struct OverheadCosts {
 enum class SchedOp { kSchedule = 0, kWakeup = 1, kMigrate = 2 };
 inline constexpr int kNumSchedOps = 3;
 
-inline const char* SchedOpName(SchedOp op) {
+// Name of the Machine::metrics() histogram that samples each operation's
+// cost (the simulated tracepoints).
+inline const char* SchedOpMetric(SchedOp op) {
   switch (op) {
     case SchedOp::kSchedule:
-      return "Schedule";
+      return "machine.sched_op.schedule_ns";
     case SchedOp::kWakeup:
-      return "Wakeup";
+      return "machine.sched_op.wakeup_ns";
     case SchedOp::kMigrate:
-      return "Migrate";
+      return "machine.sched_op.migrate_ns";
   }
   return "?";
 }
-
-// Per-operation overhead sample collection (the simulated tracepoints).
-class OpStats {
- public:
-  void Record(SchedOp op, TimeNs cost) { histograms_[static_cast<int>(op)].Record(cost); }
-  const Histogram& Of(SchedOp op) const { return histograms_[static_cast<int>(op)]; }
-  void Reset() {
-    for (Histogram& h : histograms_) {
-      h.Reset();
-    }
-  }
-
- private:
-  Histogram histograms_[kNumSchedOps];
-};
 
 // Exact serialization model of a contended lock inside the DES: each
 // acquisition waits for the previous holder's critical section to end. With

@@ -6,8 +6,10 @@
 #define SRC_HYPERVISOR_VCPU_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 
+#include "src/common/check.h"
 #include "src/common/time.h"
 #include "src/rt/periodic_task.h"
 #include "src/stats/histogram.h"
@@ -64,15 +66,28 @@ class Vcpu {
   TimeNs last_service_end() const { return last_service_end_; }
   TimeNs wake_time() const { return wake_time_; }
 
-  // Enables per-vCPU latency instrumentation (the "vantage VM").
-  void EnableInstrumentation() { instrumented_ = true; }
-  bool instrumented() const { return instrumented_; }
+  // Enables per-vCPU latency instrumentation (the "vantage VM"): creates
+  // the two histograms below, which uninstrumented vCPUs do not carry.
+  void EnableInstrumentation() {
+    if (!instrumented()) {
+      service_gaps_ = std::make_unique<Histogram>();
+      wakeup_latency_ = std::make_unique<Histogram>();
+    }
+  }
+  bool instrumented() const { return service_gaps_ != nullptr; }
 
   // Gaps between consecutive service intervals while continuously runnable
-  // (redis-cli --intrinsic-latency, Fig. 5).
-  Histogram& service_gaps() { return service_gaps_; }
+  // (redis-cli --intrinsic-latency, Fig. 5). Instrumented vCPUs only.
+  Histogram& service_gaps() {
+    TABLEAU_CHECK_MSG(instrumented(), "vCPU %d is not instrumented", id_);
+    return *service_gaps_;
+  }
   // Delay from wake-up to first subsequent dispatch (ping, Fig. 6).
-  Histogram& wakeup_latency() { return wakeup_latency_; }
+  // Instrumented vCPUs only.
+  Histogram& wakeup_latency() {
+    TABLEAU_CHECK_MSG(instrumented(), "vCPU %d is not instrumented", id_);
+    return *wakeup_latency_;
+  }
 
  private:
   friend class Machine;
@@ -93,9 +108,8 @@ class Vcpu {
   TimeNs total_service_ = 0;
   std::uint64_t dispatch_count_ = 0;
 
-  bool instrumented_ = false;
-  Histogram service_gaps_;
-  Histogram wakeup_latency_;
+  std::unique_ptr<Histogram> service_gaps_;
+  std::unique_ptr<Histogram> wakeup_latency_;
 };
 
 }  // namespace tableau

@@ -3,11 +3,33 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "src/common/check.h"
+#include "src/common/parse.h"
 #include "src/obs/json.h"
 
 namespace tableau::obs {
+
+namespace {
+
+// Inclusive upper edge of a Log2Histogram bucket, as exported.
+std::int64_t BucketEdge(int index) {
+  return static_cast<std::int64_t>(Log2Histogram::BucketUpperEdge(index));
+}
+
+// A sparse export back in Log2Histogram's dense layout, so Delta and Merge
+// are per-bucket arithmetic followed by the one sparse export.
+std::array<std::uint64_t, Log2Histogram::kBuckets> DenseBuckets(
+    const HistogramValue& h) {
+  std::array<std::uint64_t, Log2Histogram::kBuckets> counts = {};
+  for (const auto& [index, n] : h.buckets) {
+    counts[static_cast<std::size_t>(index)] += n;
+  }
+  return counts;
+}
+
+}  // namespace
 
 const char* MetricKindName(MetricKind kind) {
   switch (kind) {
@@ -19,17 +41,6 @@ const char* MetricKindName(MetricKind kind) {
       return "histogram";
   }
   return "?";
-}
-
-std::int64_t LatencyHistogram::BucketUpperEdge(int index) {
-  TABLEAU_CHECK(index >= 0 && index < kBuckets);
-  if (index == 0) {
-    return 0;
-  }
-  if (index == 63) {
-    return std::numeric_limits<std::int64_t>::max();
-  }
-  return (std::int64_t{1} << index) - 1;
 }
 
 std::int64_t HistogramValue::Percentile(double q) const {
@@ -56,8 +67,8 @@ std::int64_t HistogramValue::Percentile(double q) const {
       // the winning bucket's width (upper - lower < true value for log2
       // buckets).
       const std::int64_t lower =
-          index == 0 ? 0 : std::int64_t{1} << (index - 1);
-      const std::int64_t upper = LatencyHistogram::BucketUpperEdge(index);
+          index == 0 ? 0 : BucketEdge(index - 1) + 1;
+      const std::int64_t upper = BucketEdge(index);
       const double fraction = static_cast<double>(rank - seen) /
                               static_cast<double>(bucket_count);
       const auto value = static_cast<std::int64_t>(
@@ -68,6 +79,20 @@ std::int64_t HistogramValue::Percentile(double q) const {
     seen += bucket_count;
   }
   return max;
+}
+
+HistogramValue ToHistogramValue(
+    std::uint64_t count, std::int64_t sum, std::int64_t min, std::int64_t max,
+    const std::array<std::uint64_t, Log2Histogram::kBuckets>& buckets) {
+  HistogramValue value{count, sum, min, max, {}};
+  value.buckets.reserve(static_cast<std::size_t>(
+      Log2Histogram::kBuckets - std::count(buckets.begin(), buckets.end(), 0)));
+  for (int i = 0; i < Log2Histogram::kBuckets; ++i) {
+    if (buckets[static_cast<std::size_t>(i)] > 0) {
+      value.buckets.emplace_back(i, buckets[static_cast<std::size_t>(i)]);
+    }
+  }
+  return value;
 }
 
 std::string CsvEscapeField(const std::string& field) {
@@ -171,24 +196,13 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
         break;
       case MetricKind::kHistogram: {
         const LatencyHistogram& hist = *entry.hist;
-        value.hist.count = hist.Count();
-        value.hist.sum = hist.Sum();
-        value.hist.min = hist.Min();
-        value.hist.max = hist.Max();
-        // Two passes: count occupied buckets, reserve exactly, then fill —
-        // one allocation per histogram instead of push_back growth.
-        int occupied = 0;
-        std::uint64_t counts[LatencyHistogram::kBuckets];
-        for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-          counts[i] = hist.buckets_[i].load(std::memory_order_relaxed);
-          occupied += counts[i] > 0 ? 1 : 0;
+        std::array<std::uint64_t, Log2Histogram::kBuckets> counts;
+        for (int i = 0; i < Log2Histogram::kBuckets; ++i) {
+          counts[static_cast<std::size_t>(i)] =
+              hist.buckets_[i].load(std::memory_order_relaxed);
         }
-        value.hist.buckets.reserve(static_cast<std::size_t>(occupied));
-        for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-          if (counts[i] > 0) {
-            value.hist.buckets.emplace_back(i, counts[i]);
-          }
-        }
+        value.hist = ToHistogramValue(hist.Count(), hist.Sum(), hist.Min(),
+                                      hist.Max(), counts);
         break;
       }
     }
@@ -212,30 +226,15 @@ MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& since) const {
       case MetricKind::kGauge:
         break;  // Gauges keep the newer reading.
       case MetricKind::kHistogram: {
-        value.hist.count -= std::min(value.hist.count, old.hist.count);
-        value.hist.sum -= old.hist.sum;
-        // Both bucket lists are ascending by index: subtract with a linear
-        // two-pointer merge (no per-bucket map nodes), dropping emptied
-        // buckets in place.
-        std::vector<std::pair<int, std::uint64_t>> merged;
-        merged.reserve(value.hist.buckets.size());
-        std::size_t oi = 0;
-        for (const auto& [index, n] : value.hist.buckets) {
-          while (oi < old.hist.buckets.size() &&
-                 old.hist.buckets[oi].first < index) {
-            ++oi;
-          }
-          std::uint64_t remaining = n;
-          if (oi < old.hist.buckets.size() &&
-              old.hist.buckets[oi].first == index) {
-            remaining -= std::min(remaining, old.hist.buckets[oi].second);
-          }
-          if (remaining > 0) {
-            merged.emplace_back(index, remaining);
-          }
+        HistogramValue& h = value.hist;
+        auto counts = DenseBuckets(h);
+        for (const auto& [index, n] : old.hist.buckets) {
+          counts[static_cast<std::size_t>(index)] -=
+              std::min(counts[static_cast<std::size_t>(index)], n);
         }
-        value.hist.buckets = std::move(merged);
         // min/max are not invertible over an interval; keep the newer ones.
+        h = ToHistogramValue(h.count - std::min(h.count, old.hist.count),
+                             h.sum - old.hist.sum, h.min, h.max, counts);
         break;
       }
     }
@@ -268,29 +267,12 @@ void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
           h.min = h.count == 0 ? o.min : std::min(h.min, o.min);
           h.max = std::max(h.max, o.max);
         }
-        h.count += o.count;
-        h.sum += o.sum;
-        // Sorted-vector union (both ascending by index) — one reserve, no
-        // per-bucket map nodes.
-        std::vector<std::pair<int, std::uint64_t>> merged;
-        merged.reserve(h.buckets.size() + o.buckets.size());
-        std::size_t a = 0;
-        std::size_t b = 0;
-        while (a < h.buckets.size() || b < o.buckets.size()) {
-          if (b >= o.buckets.size() ||
-              (a < h.buckets.size() && h.buckets[a].first < o.buckets[b].first)) {
-            merged.push_back(h.buckets[a++]);
-          } else if (a >= h.buckets.size() ||
-                     o.buckets[b].first < h.buckets[a].first) {
-            merged.push_back(o.buckets[b++]);
-          } else {
-            merged.emplace_back(h.buckets[a].first,
-                                h.buckets[a].second + o.buckets[b].second);
-            ++a;
-            ++b;
-          }
+        auto counts = DenseBuckets(h);
+        for (const auto& [index, n] : o.buckets) {
+          counts[static_cast<std::size_t>(index)] += n;
         }
-        h.buckets = std::move(merged);
+        h = ToHistogramValue(h.count + o.count, h.sum + o.sum, h.min, h.max,
+                             counts);
         break;
       }
     }
@@ -365,7 +347,7 @@ std::string MetricsSnapshot::ToJson(int indent) const {
             h += ", ";
           }
           first = false;
-          h += "[" + std::to_string(LatencyHistogram::BucketUpperEdge(index)) +
+          h += "[" + std::to_string(BucketEdge(index)) +
                ", " + std::to_string(n) + "]";
         }
         h += "]}";
@@ -420,17 +402,10 @@ std::optional<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json
     }
     const std::string& text = version->str();
     const std::size_t dot = text.find('.');
-    if (dot == std::string::npos || dot == 0 || dot + 1 >= text.size()) {
-      return std::nullopt;
-    }
-    int major = 0;
-    for (std::size_t i = 0; i < dot; ++i) {
-      if (text[i] < '0' || text[i] > '9') {
-        return std::nullopt;
-      }
-      major = major * 10 + (text[i] - '0');
-    }
-    if (major != kSchemaVersionMajor) {
+    std::uint64_t major = 0;
+    if (dot == std::string::npos || dot + 1 >= text.size() ||
+        !ParseU64(text.substr(0, dot).c_str(), &major) ||
+        major != kSchemaVersionMajor) {
       return std::nullopt;
     }
   }
@@ -496,22 +471,20 @@ std::optional<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json
             !pair.array()[0].is_number() || !pair.array()[1].is_number()) {
           return std::nullopt;
         }
-        const auto edge = static_cast<std::int64_t>(pair.array()[0].number());
-        if (edge < 0) {
+        // The top bucket's edge, INT64_MAX, reads back as the double 2^63.
+        const double raw_edge = pair.array()[0].number();
+        if (!(raw_edge >= 0 && raw_edge <= 0x1p63)) {
           return std::nullopt;
         }
+        const std::int64_t edge =
+            raw_edge == 0x1p63 ? std::numeric_limits<std::int64_t>::max()
+                               : static_cast<std::int64_t>(raw_edge);
         // Recover the bucket index from the upper edge. Edges small enough to
-        // be exact in a double must be of the 2^i - 1 form; larger ones lose
-        // low bits in transit, so only the bit width can be checked.
-        if (edge < (std::int64_t{1} << 53) &&
-            (static_cast<std::uint64_t>(edge) &
-             (static_cast<std::uint64_t>(edge) + 1)) != 0) {
-          return std::nullopt;
-        }
+        // be exact in a double must be a bucket's upper edge; larger ones
+        // lose low bits in transit, so only the bit width can be checked.
         const int index =
-            edge == 0 ? 0
-                      : std::bit_width(static_cast<std::uint64_t>(edge));
-        if (index >= LatencyHistogram::kBuckets) {
+            Log2Histogram::BucketIndex(static_cast<std::uint64_t>(edge));
+        if (edge < (std::int64_t{1} << 53) && edge != BucketEdge(index)) {
           return std::nullopt;
         }
         value.hist.buckets.emplace_back(

@@ -21,8 +21,8 @@
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/stats/histogram.h"
 
 namespace tableau::obs {
 
@@ -85,14 +86,15 @@ class Gauge {
   std::atomic<double> value_{0};
 };
 
-// Fixed-bucket latency histogram: 64 power-of-two buckets (bucket i counts
-// values whose bit width is i, i.e. [2^(i-1), 2^i - 1]; bucket 0 counts
-// zeros), exact count/sum/min/max on the side. Record is O(1): a bit-width
-// computation and relaxed atomic updates, safe for concurrent recorders
-// (planner worker threads).
+// Lock-free latency histogram in Log2Histogram's bucket layout (64 buckets;
+// bucket i counts values of bit width i), exact count/sum/min/max on the
+// side. Record is O(1): a bit-width computation and relaxed atomic updates,
+// safe for concurrent recorders (planner worker threads). Unlike the
+// single-writer Log2Histogram it keeps no Welford moments: it sits on the
+// Machine dispatch hot path.
 class LatencyHistogram {
  public:
-  static constexpr int kBuckets = 64;
+  static constexpr int kBuckets = Log2Histogram::kBuckets;
 
   void Record(TimeNs value) {
     if (!enabled_->load(std::memory_order_relaxed)) {
@@ -100,7 +102,7 @@ class LatencyHistogram {
     }
     const std::uint64_t v =
         value < 0 ? 0 : static_cast<std::uint64_t>(value);
-    buckets_[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
+    buckets_[Log2Histogram::BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(static_cast<std::int64_t>(v), std::memory_order_relaxed);
     AtomicMin(min_, static_cast<std::int64_t>(v));
@@ -111,9 +113,6 @@ class LatencyHistogram {
   std::int64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
   std::int64_t Min() const { return Count() == 0 ? 0 : min_.load(std::memory_order_relaxed); }
   std::int64_t Max() const { return Count() == 0 ? 0 : max_.load(std::memory_order_relaxed); }
-
-  // Inclusive upper edge of bucket `index` (2^index - 1; bucket 0 -> 0).
-  static std::int64_t BucketUpperEdge(int index);
 
  private:
   friend class MetricsRegistry;
@@ -147,7 +146,7 @@ struct HistogramValue {
   std::int64_t min = 0;
   std::int64_t max = 0;
   // (bucket index, count) pairs, ascending by index; the bucket's inclusive
-  // upper edge is LatencyHistogram::BucketUpperEdge(index).
+  // upper edge is Log2Histogram::BucketUpperEdge(index).
   std::vector<std::pair<int, std::uint64_t>> buckets;
 
   double Mean() const {
@@ -163,6 +162,19 @@ struct HistogramValue {
 
   bool operator==(const HistogramValue&) const = default;
 };
+
+// Sparse export of a bucket array in Log2Histogram's layout: exact
+// count/sum/min/max plus the occupied buckets, ascending, in one exact
+// allocation. MetricsRegistry::Snapshot and the telemetry histograms both
+// export through it.
+HistogramValue ToHistogramValue(
+    std::uint64_t count, std::int64_t sum, std::int64_t min, std::int64_t max,
+    const std::array<std::uint64_t, Log2Histogram::kBuckets>& buckets);
+inline HistogramValue ToHistogramValue(const Log2Histogram& histogram) {
+  return ToHistogramValue(histogram.Count(),
+                          static_cast<std::int64_t>(histogram.Sum()),
+                          histogram.Min(), histogram.Max(), histogram.buckets());
+}
 
 struct MetricValue {
   MetricKind kind = MetricKind::kCounter;

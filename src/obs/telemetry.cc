@@ -242,13 +242,13 @@ TimeSeriesSnapshot Telemetry::TimeSeries() const {
 
 HistogramValue Telemetry::AttributionHistogram(int vm,
                                                LatencyComponent c) const {
-  return attribution_hists_[static_cast<std::size_t>(vm)]
-                           [static_cast<std::size_t>(static_cast<int>(c))]
-                               .ToValue();
+  return ToHistogramValue(
+      attribution_hists_[static_cast<std::size_t>(vm)]
+                        [static_cast<std::size_t>(static_cast<int>(c))]);
 }
 
 HistogramValue Telemetry::RequestLatencyHistogram(int vm) const {
-  return latency_hists_[static_cast<std::size_t>(vm)].ToValue();
+  return ToHistogramValue(latency_hists_[static_cast<std::size_t>(vm)]);
 }
 
 namespace {

@@ -178,9 +178,9 @@ class Telemetry {
       TimeSeriesRecorder::kNoSeries;
 
   // Indexed [vm][component]; plus one end-to-end latency histogram per VM.
-  std::vector<std::array<CompactHistogram, kNumLatencyComponents>>
+  std::vector<std::array<Log2Histogram, kNumLatencyComponents>>
       attribution_hists_;
-  std::vector<CompactHistogram> latency_hists_;
+  std::vector<Log2Histogram> latency_hists_;
 
   SpanObserver span_observer_;
 };

@@ -4,7 +4,8 @@
 // drives the hot paths — the event engine's schedule/fire/cancel churn, the
 // trace ring, and the metrics handles — asserting that after a warm-up phase
 // (pool chunks, heap capacity, batch buffer all at their high-water marks)
-// the per-event path performs literally zero heap allocations.
+// the per-event path performs literally zero heap allocations. It also
+// counts bytes, to bound what set-up paths such as Machine::AddVcpu cost.
 //
 // The test lives in its own executable because the operator new/delete
 // replacement is process-global; mixing it into another test binary would
@@ -16,6 +17,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/hypervisor/machine.h"
+#include "src/hypervisor/scheduler.h"
 #include "src/hypervisor/trace.h"
 #include "src/obs/metrics.h"
 #include "src/obs/telemetry.h"
@@ -24,13 +27,19 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 std::uint64_t AllocationCount() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
+std::uint64_t AllocatedBytes() {
+  return g_allocated_bytes.load(std::memory_order_relaxed);
+}
+
 void* CountedAlloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) {
     throw std::bad_alloc();
@@ -40,6 +49,7 @@ void* CountedAlloc(std::size_t size) {
 
 void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (align < sizeof(void*)) {
     align = sizeof(void*);
   }
@@ -306,6 +316,38 @@ TEST(AllocSteadyState, TelemetryRecordingHotPathIsAllocationFree) {
   EXPECT_EQ(AllocationCount() - allocs_before, 0u)
       << "telemetry recording hot path allocated";
   EXPECT_GT(telemetry.RequestLatencyHistogram(3).count, 0u);
+}
+
+// A scheduler that never runs anything: AddVcpu keeps no per-vCPU state,
+// so the vCPU set-up test below measures the Machine alone.
+class IdleScheduler : public VcpuScheduler {
+ public:
+  std::string Name() const override { return "idle"; }
+  void AddVcpu(Vcpu*) override {}
+  Decision PickNext(CpuId) override { return Decision{}; }
+  void OnWakeup(Vcpu*) override {}
+  void OnBlock(Vcpu*, CpuId) override {}
+  void OnDeschedule(Vcpu*, CpuId, DeschedReason) override {}
+};
+
+TEST(AllocSteadyState, UninstrumentedVcpusCarryNoLatencyHistograms) {
+  // Only EnableInstrumentation() creates a vCPU's two latency histograms
+  // (~58 KB each), so a thousand plain vCPUs cost well under 1 MB.
+  MachineConfig config;
+  config.num_cpus = 4;
+  config.cores_per_socket = 4;
+  Machine machine(config, std::make_unique<IdleScheduler>());
+  const std::uint64_t bytes_before = AllocatedBytes();
+  for (int i = 0; i < 1000; ++i) {
+    machine.AddVcpu(VcpuParams{});
+  }
+  EXPECT_LT(AllocatedBytes() - bytes_before, std::uint64_t{1} << 20);
+  EXPECT_FALSE(machine.vcpu(0)->instrumented());
+
+  const std::uint64_t instrumented_before = AllocatedBytes();
+  machine.vcpu(0)->EnableInstrumentation();
+  EXPECT_TRUE(machine.vcpu(0)->instrumented());
+  EXPECT_GE(AllocatedBytes() - instrumented_before, 2 * sizeof(Histogram));
 }
 
 }  // namespace

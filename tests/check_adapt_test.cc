@@ -93,6 +93,25 @@ TEST(AdaptFuzz, SpecRoundTripsThroughText) {
   }
 }
 
+TEST(AdaptFuzz, ParserRejectsMalformedNumbers) {
+  // Every value is parsed whole, including each demand entry.
+  const std::string header = "tableau-adapt-repro v1\n";
+  const std::string vm = "vm=init:0.25 latency_ns:20000000 demand:0.5,x,0.25\n";
+  ASSERT_TRUE(ParseAdaptSpec(header + "seed=12\nnum_cpus=4\n" + vm).has_value());
+  EXPECT_FALSE(ParseAdaptSpec(header + "seed=12abc\n" + vm).has_value());
+  EXPECT_FALSE(ParseAdaptSpec(header + "num_cpus=4x\n" + vm).has_value());
+  EXPECT_FALSE(ParseAdaptSpec(header + "headroom=1.3.1\n" + vm).has_value());
+  EXPECT_FALSE(ParseAdaptSpec(
+                   header + "vm=init:0.25 latency_ns:20000000 demand:0.5zz,x\n")
+                   .has_value());
+  EXPECT_FALSE(ParseAdaptSpec(
+                   header + "vm=init:0.25q latency_ns:20000000 demand:0.5\n")
+                   .has_value());
+  EXPECT_FALSE(ParseAdaptSpec(
+                   header + "vm=init:0.25 latency_ns:20ms demand:0.5\n")
+                   .has_value());
+}
+
 TEST(AdaptFuzz, ParserRejectsMalformedSpecs) {
   EXPECT_FALSE(ParseAdaptSpec("").has_value());
   EXPECT_FALSE(ParseAdaptSpec("tableau-repro v1\nseed=1\n").has_value());

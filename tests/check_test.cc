@@ -209,6 +209,32 @@ TEST(ScenarioSpec, GeneratedSpecsAreFeasible) {
   }
 }
 
+// `text` with the value of its first `key=` line replaced by `value`.
+std::string WithValue(const std::string& text, const std::string& key,
+                      const std::string& value) {
+  const std::size_t start = text.find(key + "=");
+  const std::size_t end = text.find('\n', start);
+  return text.substr(0, start) + key + "=" + value + text.substr(end);
+}
+
+TEST(ScenarioSpec, ParseRejectsMalformedNumbers) {
+  // Every value is parsed whole: a numeric prefix followed by garbage is not
+  // the number, and a flag is 0 or 1.
+  const std::string text = FormatSpec(GenerateSpec(7));
+  ASSERT_TRUE(ParseSpec(text).has_value());
+  EXPECT_FALSE(ParseSpec(WithValue(text, "seed", "12abc")).has_value());
+  EXPECT_FALSE(ParseSpec(WithValue(text, "guest_cpus", "4x")).has_value());
+  EXPECT_FALSE(ParseSpec(WithValue(text, "duration_ns", "")).has_value());
+  EXPECT_FALSE(ParseSpec(WithValue(text, "fault_intensity", "0.5zz")).has_value());
+  EXPECT_FALSE(ParseSpec(WithValue(text, "capped", "yes")).has_value());
+  EXPECT_FALSE(ParseSpec(WithValue(text, "vm", "vcpus:1 util:0.25 latency_ns:20000000 "
+                                                "workload:hog gang:1x"))
+                   .has_value());
+  EXPECT_TRUE(ParseSpec(WithValue(text, "vm", "vcpus:1 util:0.25 latency_ns:20000000 "
+                                               "workload:hog gang:1"))
+                  .has_value());
+}
+
 TEST(ScenarioSpec, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseSpec("not a repro").has_value());
   EXPECT_FALSE(ParseSpec("tableau-repro v1\nbogus_key=1\n").has_value());

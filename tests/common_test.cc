@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/math_util.h"
+#include "src/common/parse.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/common/time.h"
@@ -158,6 +159,39 @@ TEST(Rng, ExponentialMean) {
     sum += v;
   }
   EXPECT_NEAR(sum / n, 3.0, 0.1);
+}
+
+TEST(Parse, AcceptsOnlyWholeNumbers) {
+  int i = -1;
+  EXPECT_TRUE(ParseInt("42", 0, &i));
+  EXPECT_EQ(i, 42);
+  EXPECT_FALSE(ParseInt("4x", 0, &i));
+  EXPECT_FALSE(ParseInt("", 0, &i));
+  EXPECT_FALSE(ParseInt("-1", 0, &i));
+  EXPECT_FALSE(ParseInt("2147483648", 0, &i));
+  EXPECT_EQ(i, 42);  // Failures leave the output alone.
+
+  std::int64_t t = 0;
+  EXPECT_TRUE(ParseI64("9000000000", 0, &t));
+  EXPECT_EQ(t, 9'000'000'000);
+  EXPECT_FALSE(ParseI64("20ms", 0, &t));
+  EXPECT_FALSE(ParseI64("99999999999999999999", 0, &t));
+
+  std::uint64_t u = 0;
+  EXPECT_TRUE(ParseU64("18446744073709551615", &u));
+  EXPECT_EQ(u, UINT64_MAX);
+  EXPECT_FALSE(ParseU64("12abc", &u));
+  EXPECT_FALSE(ParseU64("-1", &u));
+  EXPECT_FALSE(ParseU64(" 1", &u));
+
+  double d = 0;
+  EXPECT_TRUE(ParseReal("0.5", false, &d));
+  EXPECT_EQ(d, 0.5);
+  EXPECT_FALSE(ParseReal("0.5zz", false, &d));
+  EXPECT_FALSE(ParseReal("nan", false, &d));
+  EXPECT_FALSE(ParseReal("-0.5", false, &d));
+  EXPECT_FALSE(ParseReal("0", true, &d));
+  EXPECT_TRUE(ParseReal("0", false, &d));
 }
 
 TEST(Histogram, EmptyIsZero) {

@@ -77,10 +77,10 @@ TEST(MetricsRegistry, HistogramNegativeValuesClampToZero) {
 }
 
 TEST(MetricsRegistry, BucketUpperEdgesArePowersOfTwoMinusOne) {
-  EXPECT_EQ(LatencyHistogram::BucketUpperEdge(0), 0);
-  EXPECT_EQ(LatencyHistogram::BucketUpperEdge(1), 1);
-  EXPECT_EQ(LatencyHistogram::BucketUpperEdge(4), 15);
-  EXPECT_EQ(LatencyHistogram::BucketUpperEdge(10), 1023);
+  EXPECT_EQ(Log2Histogram::BucketUpperEdge(0), 0u);
+  EXPECT_EQ(Log2Histogram::BucketUpperEdge(1), 1u);
+  EXPECT_EQ(Log2Histogram::BucketUpperEdge(4), 15u);
+  EXPECT_EQ(Log2Histogram::BucketUpperEdge(10), 1023u);
 }
 
 TEST(MetricsSnapshot, DeltaSubtractsCountersAndHistogramsKeepsGauges) {
@@ -167,6 +167,26 @@ TEST(MetricsSnapshot, FromJsonRejectsMalformedDocuments) {
                       {"count": 1, "sum": 5, "min": 5, "max": 5,
                        "buckets": [[6, 1]]}}})")
                    .has_value());
+}
+
+TEST(MetricsSnapshot, JsonRoundTripKeepsTopBucket) {
+  // A sample of 2^62 or more lands in the top bucket, whose upper edge
+  // INT64_MAX reads back from JSON as the double 2^63.
+  MetricsRegistry registry;
+  registry.GetHistogram("h")->Record(std::int64_t{1} << 62);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  const auto parsed = MetricsSnapshot::FromJson(snapshot.ToJson());
+  ASSERT_TRUE(parsed.has_value()) << snapshot.ToJson();
+  EXPECT_EQ(*parsed, snapshot);
+  // Edges beyond INT64_MAX, negative or not a number stay rejected.
+  for (const char* edge : {"1e19", "-1", "1e400"}) {
+    EXPECT_FALSE(MetricsSnapshot::FromJson(
+                     std::string(R"({"histograms": {"h": {"count": 1, "sum": 1, "min": 1,
+                                     "max": 1, "buckets": [[)") +
+                     edge + ", 1]]}}}")
+                     .has_value())
+        << edge;
+  }
 }
 
 TEST(MetricsSnapshot, ToJsonEmitsSchemaVersion) {

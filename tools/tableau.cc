@@ -16,9 +16,6 @@
 // re-runs match: obs re-runs with metrics and telemetry off; fleet and adapt
 // re-run serial, sharded, sharded-parallel and serial again (fingerprints,
 // merged metrics and resize counts must agree).
-#include <cctype>
-#include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +30,7 @@
 #include "src/check/adapt_fuzz.h"
 #include "src/check/mutants.h"
 #include "src/check/scenario_fuzz.h"
+#include "src/common/parse.h"
 #include "src/core/planner.h"
 #include "src/harness/fleet_scenario.h"
 #include "src/harness/scenario.h"
@@ -99,45 +97,6 @@ struct Options {
   // golden
   bool update = false;
 };
-
-// Whole-string numeric parses: empty input, trailing garbage, overflow, a
-// non-finite value or one below the minimum all fail.
-bool ParseInt(const char* text, int min, int* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || value < min || value > INT_MAX) {
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
-
-bool ParseU64(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  // strtoull accepts a sign ("-1" wraps around), so demand a leading digit.
-  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
-      errno == ERANGE) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-// A finite value >= 0, or > 0 when `positive`.
-bool ParseReal(const char* text, bool positive, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(value) ||
-      value < 0 || (positive && value == 0)) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
 
 // A non-negative count of `unit` that fits TimeNs; at least 1 ns when `positive`.
 bool ParseTime(const char* text, TimeNs unit, TimeNs* out, bool positive = false) {
