@@ -20,7 +20,7 @@ void TableauDispatcher::InstallTable(std::shared_ptr<const SchedulingTable> tabl
   if (current_ == nullptr) {
     current_ = std::move(table);
     ++generation_;
-    BuildTimelines(nullptr);
+    BuildIndex();
     return;
   }
   // Time-synchronized switch: the planner times the next_table pointers to
@@ -71,93 +71,66 @@ const SchedulingTable& TableauDispatcher::ActiveTable(TimeNs now) {
       m_table_switches_->Increment();
       m_switch_slip_ns_->Record(last_switch_slip_);
     }
-    const std::shared_ptr<const SchedulingTable> previous = std::move(current_);
+    // The old table is released here: "garbage collected two rounds after
+    // the new table has been uploaded".
     current_ = std::move(next_);
     next_ = nullptr;
     switch_at_ = kTimeNever;
     ++generation_;
-    BuildTimelines(previous.get());
-    // The old table is released here: "garbage collected two rounds after
-    // the new table has been uploaded".
+    BuildIndex();
   }
   return *current_;
 }
 
-void TableauDispatcher::BuildTimelines(const SchedulingTable* previous) {
-  const int num_cpus = current_->num_cpus();
-  // changed[c]: pCPU c's CpuTable is not the one `previous` held.
-  std::vector<char> changed(static_cast<std::size_t>(num_cpus), 1);
-  bool any_shared = false;
-  if (previous != nullptr && previous->num_cpus() == num_cpus &&
-      previous->length() == current_->length()) {
-    for (int c = 0; c < num_cpus; ++c) {
-      changed[static_cast<std::size_t>(c)] = !current_->SharesCpu(*previous, c);
-      any_shared = any_shared || !changed[static_cast<std::size_t>(c)];
+void TableauDispatcher::BuildIndex() {
+  // One row per (vCPU, core) pair from the validated local_vcpus lists,
+  // grouped by vCPU; a vCPU listed by one core keeps its row as it is.
+  homes_.clear();
+  split_entries_.clear();
+  for (int c = 0; c < current_->num_cpus(); ++c) {
+    for (const VcpuId vcpu : current_->cpu(c).local_vcpus) {
+      homes_.push_back(VcpuHome{vcpu, c, 0, 0});
     }
   }
-  // Only vCPUs with an allocation on a changed pCPU, in the old table or the
-  // new one, get new timelines; entries on shared pCPUs stay as they are.
-  std::vector<VcpuId> touched;
-  if (any_shared) {
-    for (int c = 0; c < num_cpus; ++c) {
-      if (changed[static_cast<std::size_t>(c)]) {
-        for (const SchedulingTable* table : {previous, current_.get()}) {
-          for (const Allocation& alloc : table->cpu(c).allocations) {
-            touched.push_back(alloc.vcpu);
+  std::sort(homes_.begin(), homes_.end(),
+            [](const VcpuHome& a, const VcpuHome& b) { return a.vcpu < b.vcpu; });
+  // Compact in place to one row per vCPU. A split vCPU's row points at its
+  // allocations, gathered from just the cores that list it.
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < homes_.size();) {
+    const VcpuId vcpu = homes_[i].vcpu;
+    std::size_t j = i + 1;
+    while (j < homes_.size() && homes_[j].vcpu == vcpu) {
+      ++j;
+    }
+    if (j - i > 1) {
+      const std::size_t first = split_entries_.size();
+      for (std::size_t k = i; k < j; ++k) {
+        const int c = homes_[k].cpu;
+        for (const Allocation& alloc : current_->cpu(c).allocations) {
+          if (alloc.vcpu == vcpu) {
+            split_entries_.emplace_back(alloc.start, c);
           }
         }
       }
+      // Start times are unique per vCPU in a valid table; the cpu tie-break
+      // only makes the order total.
+      std::sort(split_entries_.begin() + static_cast<std::ptrdiff_t>(first),
+                split_entries_.end());
+      homes_[i] = VcpuHome{vcpu, -1, static_cast<std::uint32_t>(first),
+                           static_cast<std::uint32_t>(split_entries_.size() - first)};
     }
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    for (const VcpuId vcpu : touched) {
-      const auto it = timelines_.find(vcpu);
-      if (it != timelines_.end()) {
-        auto& entries = it->second.entries;
-        entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                     [&](const VcpuTimeline::Entry& e) {
-                                       return changed[static_cast<std::size_t>(e.cpu)] != 0;
-                                     }),
-                      entries.end());
-      }
-    }
-  } else {
-    timelines_.clear();
+    homes_[out++] = homes_[i];
+    i = j;
   }
-  for (int c = 0; c < num_cpus; ++c) {
-    if (changed[static_cast<std::size_t>(c)]) {
-      for (const Allocation& alloc : current_->cpu(c).allocations) {
-        timelines_[alloc.vcpu].entries.push_back(
-            VcpuTimeline::Entry{alloc.start, alloc.end, c});
-      }
-    }
-  }
-  const auto finish = [](VcpuTimeline& timeline) {
-    // Start times are unique per vCPU in a valid table; the cpu tie-break
-    // only makes the order total for malformed ones.
-    std::sort(timeline.entries.begin(), timeline.entries.end(),
-              [](const VcpuTimeline::Entry& a, const VcpuTimeline::Entry& b) {
-                return a.start != b.start ? a.start < b.start : a.cpu < b.cpu;
-              });
-    const int first_cpu = timeline.entries.front().cpu;
-    timeline.split = std::any_of(
-        timeline.entries.begin(), timeline.entries.end(),
-        [first_cpu](const VcpuTimeline::Entry& e) { return e.cpu != first_cpu; });
-  };
-  if (!any_shared) {
-    for (auto& [vcpu, timeline] : timelines_) {
-      finish(timeline);
-    }
-    return;
-  }
-  for (const VcpuId vcpu : touched) {
-    const auto it = timelines_.find(vcpu);
-    if (it->second.entries.empty()) {
-      timelines_.erase(it);  // Left the table.
-    } else {
-      finish(it->second);
-    }
-  }
+  homes_.resize(out);
+}
+
+const TableauDispatcher::VcpuHome* TableauDispatcher::FindHome(VcpuId vcpu) const {
+  const auto it = std::lower_bound(
+      homes_.begin(), homes_.end(), vcpu,
+      [](const VcpuHome& home, VcpuId id) { return home.vcpu < id; });
+  return it != homes_.end() && it->vcpu == vcpu ? &*it : nullptr;
 }
 
 TableauDispatcher::SlotInfo TableauDispatcher::LookupSlot(int cpu, TimeNs now) {
@@ -243,21 +216,22 @@ void TableauDispatcher::AccrueSecondLevel(int cpu, VcpuId vcpu, TimeNs amount) {
 
 int TableauDispatcher::WakeupTargetCpu(VcpuId vcpu, TimeNs now) {
   const SchedulingTable& table = ActiveTable(now);
-  const auto it = timelines_.find(vcpu);
-  if (it == timelines_.end() || it->second.entries.empty()) {
+  const VcpuHome* home = FindHome(vcpu);
+  if (home == nullptr) {
     return -1;
   }
-  const std::vector<VcpuTimeline::Entry>& entries = it->second.entries;
+  if (home->cpu >= 0) {
+    return home->cpu;  // Every allocation, current or most recent, is there.
+  }
+  const auto entries = split_entries_.begin() + home->first;
+  const auto entries_end = entries + home->count;
   const TimeNs offset = now % table.length();
   // Last entry with start <= offset; if none, wrap to the final entry of the
   // previous cycle.
-  auto upper = std::upper_bound(
-      entries.begin(), entries.end(), offset,
-      [](TimeNs t, const VcpuTimeline::Entry& e) { return t < e.start; });
-  if (upper == entries.begin()) {
-    return entries.back().cpu;
-  }
-  return std::prev(upper)->cpu;
+  const auto upper = std::upper_bound(
+      entries, entries_end, offset,
+      [](TimeNs t, const std::pair<TimeNs, int>& e) { return t < e.first; });
+  return upper == entries ? std::prev(entries_end)->second : std::prev(upper)->second;
 }
 
 bool TableauDispatcher::InOwnSlot(VcpuId vcpu, int cpu, TimeNs now) {
@@ -266,8 +240,8 @@ bool TableauDispatcher::InOwnSlot(VcpuId vcpu, int cpu, TimeNs now) {
 }
 
 bool TableauDispatcher::IsSplit(VcpuId vcpu) {
-  const auto it = timelines_.find(vcpu);
-  return it != timelines_.end() && it->second.split;
+  const VcpuHome* home = FindHome(vcpu);
+  return home != nullptr && home->cpu < 0;
 }
 
 bool TableauDispatcher::SecondLevelLocal(VcpuId vcpu, int cpu, TimeNs now) {

@@ -10,9 +10,11 @@
 #ifndef SRC_CORE_DISPATCHER_H_
 #define SRC_CORE_DISPATCHER_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/time.h"
@@ -58,6 +60,11 @@ class TableauDispatcher {
   // Re-installing while a switch is still pending replaces the pending table
   // (the latest install wins) but never moves the promised switch time
   // earlier: switch_at_ keeps the later of the two wrap times.
+  //
+  // `table` must pass SchedulingTable::Validate(): the wake-up index built
+  // at promotion trusts each core's local_vcpus to be exactly the distinct
+  // vCPUs of its allocations, and Deserialize reads that list off the wire
+  // without checking it.
   void InstallTable(std::shared_ptr<const SchedulingTable> table, TimeNs now);
 
   // The table currently in effect at `now` (promotes a pending switch).
@@ -128,24 +135,25 @@ class TableauDispatcher {
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
-  struct VcpuTimeline {
-    struct Entry {
-      TimeNs start;
-      TimeNs end;
-      int cpu;
-    };
-    std::vector<Entry> entries;  // Sorted by start.
-    bool split = false;
+  // A vCPU of the active table: its only core, or, for a split vCPU
+  // (cpu == -1), its allocations' (start, cpu) in
+  // split_entries_[first, first + count), sorted by start.
+  struct VcpuHome {
+    VcpuId vcpu;
+    int cpu;
+    std::uint32_t first;
+    std::uint32_t count;
   };
 
   struct SecondLevelState {
     std::map<VcpuId, TimeNs> budgets;
   };
 
-  // Rebuilds timelines_ for current_. With `previous` (the table current_
-  // replaced), only vCPUs with allocations on pCPUs whose CpuTable changed
-  // are redone; a table sharing no pCPU with `previous` is rebuilt whole.
-  void BuildTimelines(const SchedulingTable* previous);
+  // Rebuilds homes_ and split_entries_ for current_ from each core's
+  // local_vcpus: O(sum of |local_vcpus| + allocations on the cores of split
+  // vCPUs), reusing the vectors' capacity.
+  void BuildIndex();
+  const VcpuHome* FindHome(VcpuId vcpu) const;  // nullptr if not in the table.
 
   const int num_cpus_;
   const Config config_;
@@ -156,7 +164,10 @@ class TableauDispatcher {
   std::uint64_t generation_ = 0;
   TimeNs last_switch_slip_ = 0;
 
-  std::map<VcpuId, VcpuTimeline> timelines_;  // For the active table.
+  // Wake-up index for the active table, sorted by vCPU id (fleet ids are
+  // sparse, so it is searched rather than indexed).
+  std::vector<VcpuHome> homes_;
+  std::vector<std::pair<TimeNs, int>> split_entries_;
   std::vector<SecondLevelState> second_level_;
 
   obs::Counter* m_table_switches_ = nullptr;

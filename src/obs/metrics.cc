@@ -29,6 +29,19 @@ std::array<std::uint64_t, Log2Histogram::kBuckets> DenseBuckets(
   return counts;
 }
 
+// `v` truncated to an integer of type T, or nullopt if it is NaN, infinite
+// or out of T's range (the cast would be undefined behaviour).
+template <typename T>
+std::optional<T> IntegerOf(double v) {
+  // T's max rounds up to the power of two just past it: the exclusive bound.
+  constexpr double kLow = static_cast<double>(std::numeric_limits<T>::min());
+  constexpr double kHigh = static_cast<double>(std::numeric_limits<T>::max());
+  if (!(v >= kLow && v < kHigh)) {
+    return std::nullopt;
+  }
+  return static_cast<T>(v);
+}
+
 }  // namespace
 
 const char* MetricKindName(MetricKind kind) {
@@ -420,9 +433,13 @@ std::optional<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json
       if (!v.is_number()) {
         return std::nullopt;
       }
+      const auto counter = IntegerOf<std::int64_t>(v.number());
+      if (!counter) {
+        return std::nullopt;
+      }
       MetricValue value;
       value.kind = MetricKind::kCounter;
-      value.counter = static_cast<std::int64_t>(v.number());
+      value.counter = *counter;
       snapshot.values.emplace(name, value);
     }
   }
@@ -460,12 +477,19 @@ std::optional<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json
           !buckets->is_array()) {
         return std::nullopt;
       }
+      const auto count_value = IntegerOf<std::uint64_t>(count->number());
+      const auto sum_value = IntegerOf<std::int64_t>(sum->number());
+      const auto min_value = IntegerOf<std::int64_t>(min->number());
+      const auto max_value = IntegerOf<std::int64_t>(max->number());
+      if (!count_value || !sum_value || !min_value || !max_value) {
+        return std::nullopt;
+      }
       MetricValue value;
       value.kind = MetricKind::kHistogram;
-      value.hist.count = static_cast<std::uint64_t>(count->number());
-      value.hist.sum = static_cast<std::int64_t>(sum->number());
-      value.hist.min = static_cast<std::int64_t>(min->number());
-      value.hist.max = static_cast<std::int64_t>(max->number());
+      value.hist.count = *count_value;
+      value.hist.sum = *sum_value;
+      value.hist.min = *min_value;
+      value.hist.max = *max_value;
       for (const JsonValue& pair : buckets->array()) {
         if (!pair.is_array() || pair.array().size() != 2 ||
             !pair.array()[0].is_number() || !pair.array()[1].is_number()) {
@@ -476,9 +500,9 @@ std::optional<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json
         if (!(raw_edge >= 0 && raw_edge <= 0x1p63)) {
           return std::nullopt;
         }
-        const std::int64_t edge =
-            raw_edge == 0x1p63 ? std::numeric_limits<std::int64_t>::max()
-                               : static_cast<std::int64_t>(raw_edge);
+        const std::int64_t edge = raw_edge == 0x1p63
+                                      ? std::numeric_limits<std::int64_t>::max()
+                                      : *IntegerOf<std::int64_t>(raw_edge);
         // Recover the bucket index from the upper edge. Edges small enough to
         // be exact in a double must be a bucket's upper edge; larger ones
         // lose low bits in transit, so only the bit width can be checked.
@@ -487,8 +511,11 @@ std::optional<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json
         if (edge < (std::int64_t{1} << 53) && edge != BucketEdge(index)) {
           return std::nullopt;
         }
-        value.hist.buckets.emplace_back(
-            index, static_cast<std::uint64_t>(pair.array()[1].number()));
+        const auto n = IntegerOf<std::uint64_t>(pair.array()[1].number());
+        if (!n) {
+          return std::nullopt;
+        }
+        value.hist.buckets.emplace_back(index, *n);
       }
       snapshot.values.emplace(name, std::move(value));
     }

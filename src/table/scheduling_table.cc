@@ -12,10 +12,12 @@ namespace {
 constexpr std::uint32_t kMagic = 0x53'4c'42'54;  // "TBLS" little-endian.
 constexpr std::uint32_t kVersion = 1;
 
+// Writes `value` at `out` (inside a buffer sized by SerializedSizeBytes)
+// and returns the position after it.
 template <typename T>
-void Append(std::vector<std::uint8_t>& out, const T& value) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-  out.insert(out.end(), p, p + sizeof(T));
+std::uint8_t* Put(std::uint8_t* out, const T& value) {
+  std::memcpy(out, &value, sizeof(T));
+  return out + sizeof(T);
 }
 
 template <typename T>
@@ -387,21 +389,22 @@ std::string SchedulingTable::ValidateExclusion(const std::vector<char>* scope) c
 }
 
 std::vector<std::uint8_t> SchedulingTable::Serialize() const {
-  std::vector<std::uint8_t> out;
-  Append(out, kMagic);
-  Append(out, kVersion);
-  Append(out, length_);
-  Append(out, static_cast<std::uint32_t>(cpus_.size()));
+  std::vector<std::uint8_t> out(SerializedSizeBytes());
+  std::uint8_t* p = out.data();
+  p = Put(p, kMagic);
+  p = Put(p, kVersion);
+  p = Put(p, length_);
+  p = Put(p, static_cast<std::uint32_t>(cpus_.size()));
   for (const auto& cpu_ptr : cpus_) {
     const CpuTable& cpu = *cpu_ptr;
-    Append(out, static_cast<std::uint32_t>(cpu.allocations.size()));
-    Append(out, cpu.slice_length);
-    Append(out, static_cast<std::uint32_t>(cpu.slice_floor.size()));
-    Append(out, static_cast<std::uint32_t>(cpu.local_vcpus.size()));
+    p = Put(p, static_cast<std::uint32_t>(cpu.allocations.size()));
+    p = Put(p, cpu.slice_length);
+    p = Put(p, static_cast<std::uint32_t>(cpu.slice_floor.size()));
+    p = Put(p, static_cast<std::uint32_t>(cpu.local_vcpus.size()));
     for (const Allocation& alloc : cpu.allocations) {
-      Append(out, alloc.vcpu);
-      Append(out, alloc.start);
-      Append(out, alloc.end);
+      p = Put(p, alloc.vcpu);
+      p = Put(p, alloc.start);
+      p = Put(p, alloc.end);
     }
     // v1 wire format: per-slice {first, second} overlap indices (-1 when
     // absent), derived from the floor encoding so old consumers keep parsing.
@@ -414,13 +417,16 @@ std::vector<std::uint8_t> SchedulingTable::Serialize() const {
       const bool has_second =
           has_first && k + 1 < n &&
           cpu.allocations[static_cast<std::size_t>(k) + 1].start < slice_end;
-      Append(out, has_first ? k : std::int32_t{-1});
-      Append(out, has_second ? k + 1 : std::int32_t{-1});
+      p = Put(p, has_first ? k : std::int32_t{-1});
+      p = Put(p, has_second ? k + 1 : std::int32_t{-1});
     }
-    for (const VcpuId vcpu : cpu.local_vcpus) {
-      Append(out, vcpu);
+    if (!cpu.local_vcpus.empty()) {
+      const std::size_t bytes = cpu.local_vcpus.size() * sizeof(VcpuId);
+      std::memcpy(p, cpu.local_vcpus.data(), bytes);
+      p += bytes;
     }
   }
+  TABLEAU_CHECK(p == out.data() + out.size());
   return out;
 }
 
@@ -466,7 +472,19 @@ SchedulingTable SchedulingTable::Deserialize(const std::vector<std::uint8_t>& by
   return table;
 }
 
-std::size_t SchedulingTable::SerializedSizeBytes() const { return Serialize().size(); }
+std::size_t SchedulingTable::SerializedSizeBytes() const {
+  // Header {magic, version, length, num_cpus}; per pCPU {num_allocs,
+  // slice_length, num_slices, num_locals}, then {vcpu, start, end} per
+  // allocation, {first, second} per slice and one id per local vCPU.
+  std::size_t size = 3 * sizeof(std::uint32_t) + sizeof(TimeNs);
+  for (const auto& cpu : cpus_) {
+    size += 3 * sizeof(std::uint32_t) + sizeof(TimeNs) +
+            cpu->allocations.size() * (sizeof(VcpuId) + 2 * sizeof(TimeNs)) +
+            cpu->slice_floor.size() * 2 * sizeof(std::int32_t) +
+            cpu->local_vcpus.size() * sizeof(VcpuId);
+  }
+  return size;
+}
 
 LatencyProfile AnalyzeWakeupLatency(const SchedulingTable& table, VcpuId vcpu) {
   LatencyProfile profile;

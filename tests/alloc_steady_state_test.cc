@@ -5,7 +5,8 @@
 // trace ring, and the metrics handles — asserting that after a warm-up phase
 // (pool chunks, heap capacity, batch buffer all at their high-water marks)
 // the per-event path performs literally zero heap allocations. It also
-// counts bytes, to bound what set-up paths such as Machine::AddVcpu cost.
+// counts bytes, to bound what set-up paths such as Machine::AddVcpu cost,
+// and bounds the allocations of a dispatcher table switch.
 //
 // The test lives in its own executable because the operator new/delete
 // replacement is process-global; mixing it into another test binary would
@@ -17,6 +18,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/core/dispatcher.h"
+#include "src/core/planner.h"
 #include "src/hypervisor/machine.h"
 #include "src/hypervisor/scheduler.h"
 #include "src/hypervisor/trace.h"
@@ -348,6 +351,49 @@ TEST(AllocSteadyState, UninstrumentedVcpusCarryNoLatencyHistograms) {
   machine.vcpu(0)->EnableInstrumentation();
   EXPECT_TRUE(machine.vcpu(0)->instrumented());
   EXPECT_GE(AllocatedBytes() - instrumented_before, 2 * sizeof(Histogram));
+}
+
+TEST(AllocSteadyState, FullTablePromotionAllocatesAConstant) {
+  // A plan_churn-shaped host: 44 cores, 176 vCPUs at U = 0.25 (7 in 10 at a
+  // 1 ms goal, one each at 10, 30 and 100 ms), no split vCPUs. Its wire
+  // round trip shares no core with it, so promoting that copy rebuilds the
+  // dispatcher's whole wake-up index — which must reuse its buffers rather
+  // than allocate per vCPU or per allocation.
+  PlannerConfig config;
+  config.num_cpus = 44;
+  config.cores_per_socket = 11;
+  const Planner planner(config);
+  std::vector<VcpuRequest> requests;
+  for (VcpuId id = 0; id < 176; ++id) {
+    const int kind = id % 10;
+    const TimeNs goal = kind == 7   ? 10 * kMillisecond
+                        : kind == 8 ? 30 * kMillisecond
+                        : kind == 9 ? 100 * kMillisecond
+                                    : kMillisecond;
+    requests.push_back(VcpuRequest{id, 0.25, goal});
+  }
+  const PlanResult plan = planner.Plan(requests);
+  ASSERT_TRUE(plan.success);
+  auto table = std::make_shared<const SchedulingTable>(plan.table);
+  for (int c = 0; c < table->num_cpus(); ++c) {
+    for (const VcpuId vcpu : table->cpu(c).local_vcpus) {
+      ASSERT_EQ(table->CpusOf(vcpu).size(), 1u) << "vcpu " << vcpu << " is split";
+    }
+  }
+  auto wire = std::make_shared<const SchedulingTable>(
+      SchedulingTable::Deserialize(table->Serialize()));
+
+  TableauDispatcher dispatcher(config.num_cpus, TableauDispatcher::Config{});
+  dispatcher.InstallTable(table, 0);
+  dispatcher.InstallTable(wire, 0);
+  const TimeNs switch_at = dispatcher.pending_switch_time();
+  table.reset();  // The promotion below frees the old table.
+
+  const std::uint64_t allocs_before = AllocationCount();
+  EXPECT_EQ(&dispatcher.ActiveTable(switch_at), wire.get());
+  EXPECT_LE(AllocationCount() - allocs_before, 2u)
+      << "promotion allocated per vCPU or per allocation";
+  EXPECT_EQ(dispatcher.WakeupTargetCpu(0, switch_at), wire->CpusOf(0).front());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 
@@ -367,9 +368,8 @@ void SwitchAndCompare(TableauDispatcher& dispatcher, TimeNs& now,
   }
 }
 
-// Random arrival/departure streams of delta Solves: each switch re-derives
-// timelines only for the pCPUs whose CpuTable changed, and must answer like
-// a dispatcher that built them from scratch.
+// Random arrival/departure streams of delta Solves: each switch must answer
+// like a dispatcher that installed the same table first.
 TEST(Dispatcher, IncrementalTimelinesMatchFreshInstall) {
   PlannerConfig config;
   config.num_cpus = 6;
@@ -448,6 +448,223 @@ TEST(Dispatcher, IncrementalTimelinesMatchFreshInstallWithSplitVcpus) {
         SchedulingTable::WithCores(*table, std::move(replaced)));
     SwitchAndCompare(dispatcher, now, table, 8, rng);
   }
+}
+
+// The wake-up index the dispatcher used to keep: every allocation of the
+// table inserted into a per-vCPU timeline, sorted by start, split when it
+// spans two or more pCPUs. The dispatcher's flat index must answer alike.
+class ReferenceTimelines {
+ public:
+  struct Entry {
+    TimeNs start;
+    TimeNs end;
+    int cpu;
+  };
+
+  explicit ReferenceTimelines(const SchedulingTable& table) : length_(table.length()) {
+    for (int c = 0; c < table.num_cpus(); ++c) {
+      for (const Allocation& alloc : table.cpu(c).allocations) {
+        timelines_[alloc.vcpu].push_back(Entry{alloc.start, alloc.end, c});
+      }
+    }
+    for (auto& [vcpu, entries] : timelines_) {
+      std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+        return a.start != b.start ? a.start < b.start : a.cpu < b.cpu;
+      });
+    }
+  }
+
+  const std::map<VcpuId, std::vector<Entry>>& timelines() const { return timelines_; }
+
+  bool IsSplit(VcpuId vcpu) const {
+    const auto it = timelines_.find(vcpu);
+    return it != timelines_.end() &&
+           std::any_of(it->second.begin(), it->second.end(),
+                       [&](const Entry& e) { return e.cpu != it->second.front().cpu; });
+  }
+
+  int WakeupTargetCpu(VcpuId vcpu, TimeNs now) const {
+    const auto it = timelines_.find(vcpu);
+    if (it == timelines_.end()) {
+      return -1;
+    }
+    const std::vector<Entry>& entries = it->second;
+    const TimeNs offset = now % length_;
+    const auto upper = std::upper_bound(entries.begin(), entries.end(), offset,
+                                        [](TimeNs t, const Entry& e) { return t < e.start; });
+    return upper == entries.begin() ? entries.back().cpu : std::prev(upper)->cpu;
+  }
+
+ private:
+  TimeNs length_;
+  std::map<VcpuId, std::vector<Entry>> timelines_;
+};
+
+// Promotes `table` through the switch protocol (or installs it first, on a
+// fresh dispatcher) and checks IsSplit and WakeupTargetCpu against the
+// reference for every vCPU in the table, at 0, length - 1 and every one of
+// its allocations' start and end +-1, plus unknown vCPUs. Adds the number
+// of split vCPUs to `split`.
+void PromoteAndCheckAgainstReference(TableauDispatcher& dispatcher, TimeNs& now,
+                                     const std::shared_ptr<const SchedulingTable>& table,
+                                     int& split) {
+  dispatcher.InstallTable(table, now);
+  if (dispatcher.pending_switch_time() != kTimeNever) {
+    now = dispatcher.pending_switch_time();
+  }
+  EXPECT_EQ(&dispatcher.ActiveTable(now), table.get());
+  const ReferenceTimelines reference(*table);
+  const TimeNs length = table->length();
+  VcpuId max_vcpu = 0;
+  for (const auto& [vcpu, entries] : reference.timelines()) {
+    max_vcpu = std::max(max_vcpu, vcpu);
+    EXPECT_EQ(dispatcher.IsSplit(vcpu), reference.IsSplit(vcpu)) << "vcpu " << vcpu;
+    split += reference.IsSplit(vcpu) ? 1 : 0;
+    std::vector<TimeNs> probes = {0, length - 1};
+    for (const ReferenceTimelines::Entry& e : entries) {
+      for (const TimeNs t : {e.start, e.end}) {
+        probes.insert(probes.end(), {t - 1, t, t + 1});
+      }
+    }
+    for (const TimeNs probe : probes) {
+      const TimeNs at = now + (probe + length) % length;
+      ASSERT_EQ(dispatcher.WakeupTargetCpu(vcpu, at), reference.WakeupTargetCpu(vcpu, at))
+          << "vcpu " << vcpu << " at offset " << at % length;
+    }
+  }
+  for (const VcpuId unknown : {max_vcpu + 1, max_vcpu + 1000}) {
+    EXPECT_FALSE(dispatcher.IsSplit(unknown));
+    EXPECT_EQ(dispatcher.WakeupTargetCpu(unknown, now), -1);
+  }
+}
+
+// A random table that passes Validate() and splits many of its vCPUs: time
+// is cut into random segments, and in each one a random subset of the vCPUs
+// (sparse ids: gaps hold unknown vCPUs) runs on distinct pCPUs, so no vCPU
+// is ever on two pCPUs at once.
+std::vector<std::vector<Allocation>> RandomSplitAllocations(Rng& rng, int cpus, int vcpus,
+                                                            TimeNs length) {
+  std::vector<std::vector<Allocation>> per_cpu(static_cast<std::size_t>(cpus));
+  std::vector<VcpuId> ids;
+  for (int v = 0; v < vcpus; ++v) {
+    ids.push_back(static_cast<VcpuId>(7 * v + 3));
+  }
+  for (TimeNs t = 0; t < length;) {
+    const TimeNs end = std::min(length, t + rng.UniformInt(1, length / 8));
+    for (std::size_t i = ids.size() - 1; i > 0; --i) {
+      std::swap(ids[i], ids[static_cast<std::size_t>(rng.UniformInt(0, static_cast<std::int64_t>(i)))]);
+    }
+    for (int c = 0; c < cpus; ++c) {
+      if (rng.UniformInt(0, 3) != 0) {
+        per_cpu[static_cast<std::size_t>(c)].push_back(
+            Allocation{ids[static_cast<std::size_t>(c)], t, end});
+      }
+    }
+    t = end;
+  }
+  return per_cpu;
+}
+
+// Fuzzed valid tables, both slice geometries, each followed by its wire
+// round trip (a table that shares no pCPU with the one it replaces), and a
+// WithCores stream that swaps, thins and empties pCPUs.
+TEST(Dispatcher, IndexMatchesMapTimelinesOnFuzzedSplitTables) {
+  Rng rng(977);
+  int split = 0;
+  for (int round = 0; round < 100; ++round) {
+    const int cpus = static_cast<int>(rng.UniformInt(1, 6));
+    const int vcpus = cpus + static_cast<int>(rng.UniformInt(0, 6));
+    const TimeNs length = rng.UniformInt(2000, 20000);
+    TableauDispatcher dispatcher(cpus, TrailingCore());
+    TimeNs now = rng.UniformInt(0, 3 * length);
+    for (const bool exact : {false, true}) {
+      std::vector<std::vector<Allocation>> per_cpu =
+          RandomSplitAllocations(rng, cpus, vcpus, length);
+      auto table = std::make_shared<const SchedulingTable>(
+          exact ? SchedulingTable::BuildWithExactSlices(length, std::move(per_cpu))
+                : SchedulingTable::Build(length, std::move(per_cpu)));
+      ASSERT_EQ(table->Validate(), "");
+      ASSERT_NO_FATAL_FAILURE(PromoteAndCheckAgainstReference(dispatcher, now, table, split));
+      auto wire = std::make_shared<const SchedulingTable>(
+          SchedulingTable::Deserialize(table->Serialize()));
+      ASSERT_EQ(wire->Validate(), "");
+      ASSERT_NO_FATAL_FAILURE(PromoteAndCheckAgainstReference(dispatcher, now, wire, split));
+    }
+    auto table = std::make_shared<const SchedulingTable>(
+        SchedulingTable::Build(length, RandomSplitAllocations(rng, cpus, vcpus, length)));
+    for (int step = 0; step < 6; ++step) {
+      // Swapping two pCPUs' lists, or dropping allocations from one, keeps
+      // every instant's vCPUs distinct.
+      const int a = static_cast<int>(rng.UniformInt(0, cpus - 1));
+      const int b = static_cast<int>(rng.UniformInt(0, cpus - 1));
+      std::vector<std::pair<int, std::vector<Allocation>>> replaced;
+      if (a != b) {
+        replaced.emplace_back(a, table->cpu(b).allocations);
+        replaced.emplace_back(b, table->cpu(a).allocations);
+      } else {
+        std::vector<Allocation> kept;
+        const std::int64_t drop = rng.UniformInt(0, 2);
+        for (const Allocation& alloc : table->cpu(a).allocations) {
+          if (drop != 2 && rng.UniformInt(0, 2) != drop) {
+            kept.push_back(alloc);
+          }
+        }
+        replaced.emplace_back(a, std::move(kept));
+      }
+      table = std::make_shared<const SchedulingTable>(
+          SchedulingTable::WithCores(*table, std::move(replaced)));
+      ASSERT_EQ(table->Validate(), "");
+      ASSERT_NO_FATAL_FAILURE(PromoteAndCheckAgainstReference(dispatcher, now, table, split));
+    }
+  }
+  EXPECT_GT(split, 100) << "the fuzzed tables should split many vCPUs";
+}
+
+// Planner streams: semi-partitioned (C=D) plans whose split vCPUs come and
+// go with arrivals and departures, promoted both as Solve's table and as
+// its wire round trip.
+TEST(Dispatcher, IndexMatchesMapTimelinesOnPlannerDeltaStreams) {
+  PlannerConfig config;
+  config.num_cpus = 4;
+  const Planner planner(config);
+  std::vector<VcpuRequest> requests;
+  for (VcpuId id = 0; id < 6; ++id) {
+    requests.push_back({id, 0.6, 20 * kMillisecond});
+  }
+  PlanResult plan = planner.Plan(requests);
+  ASSERT_TRUE(plan.success);
+  TableauDispatcher dispatcher(config.num_cpus, TrailingCore());
+  TimeNs now = 0;
+  int split = 0;
+  ASSERT_NO_FATAL_FAILURE(PromoteAndCheckAgainstReference(
+      dispatcher, now, std::make_shared<const SchedulingTable>(plan.table), split));
+  Rng rng(5151);
+  std::vector<VcpuId> live = {0, 1, 2, 3, 4, 5};
+  VcpuId next_id = 6;
+  for (int step = 0; step < 24; ++step) {
+    std::vector<VcpuRequest> added;
+    std::vector<VcpuId> departed;
+    if (live.size() > 4 && rng.UniformInt(0, 1) == 0) {
+      const auto index = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+      departed.push_back(live[index]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
+    } else if (live.size() < 6) {
+      const double u = rng.UniformInt(0, 1) == 0 ? 0.6 : 0.3;
+      added.push_back({next_id, u, (rng.UniformInt(0, 1) == 0 ? 20 : 5) * kMillisecond});
+      live.push_back(next_id++);
+    }
+    PlanResult next = planner.Solve(PlanRequest::Delta(plan, added, departed));
+    ASSERT_TRUE(next.success) << "step " << step;
+    auto table = std::make_shared<const SchedulingTable>(next.table);
+    ASSERT_NO_FATAL_FAILURE(PromoteAndCheckAgainstReference(dispatcher, now, table, split));
+    ASSERT_NO_FATAL_FAILURE(PromoteAndCheckAgainstReference(
+        dispatcher, now,
+        std::make_shared<const SchedulingTable>(SchedulingTable::Deserialize(table->Serialize())),
+        split));
+    plan = std::move(next);
+  }
+  EXPECT_GT(split, 0) << "the C=D plans should split vCPUs";
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -187,6 +188,37 @@ TEST(MetricsSnapshot, JsonRoundTripKeepsTopBucket) {
                      .has_value())
         << edge;
   }
+}
+
+TEST(MetricsSnapshot, FromJsonRejectsOutOfRangeIntegers) {
+  // Counters and histogram fields are integers: a number no int64/uint64
+  // can hold must be rejected, not cast.
+  for (const char* counter : {"1e30", "-1e30", "1e400", "9223372036854775808"}) {
+    EXPECT_FALSE(
+        MetricsSnapshot::FromJson(std::string(R"({"counters": {"c": )") + counter + "}}")
+            .has_value())
+        << counter;
+  }
+  const auto histogram = [](const char* count, const char* sum, const char* min,
+                            const char* max, const char* bucket_count) {
+    return MetricsSnapshot::FromJson(std::string(R"({"histograms": {"h": {"count": )") + count +
+                                     ", \"sum\": " + sum + ", \"min\": " + min +
+                                     ", \"max\": " + max + ", \"buckets\": [[1, " +
+                                     bucket_count + "]]}}}");
+  };
+  EXPECT_TRUE(histogram("1", "1", "1", "1", "1").has_value());
+  EXPECT_FALSE(histogram("1e30", "1", "1", "1", "1").has_value());
+  EXPECT_FALSE(histogram("-1", "1", "1", "1", "1").has_value());
+  EXPECT_FALSE(histogram("1", "1e30", "1", "1", "1").has_value());
+  EXPECT_FALSE(histogram("1", "1", "-1e30", "1", "1").has_value());
+  EXPECT_FALSE(histogram("1", "1", "1", "1e400", "1").has_value());
+  EXPECT_FALSE(histogram("1", "1", "1", "1", "1e30").has_value());
+  // The largest doubles below each type's bound still read back.
+  const auto parsed = MetricsSnapshot::FromJson(
+      R"({"counters": {"c": -9223372036854775808, "d": 9223372036854774784}})");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->values.at("c").counter, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(parsed->values.at("d").counter, 9223372036854774784);
 }
 
 TEST(MetricsSnapshot, ToJsonEmitsSchemaVersion) {

@@ -637,6 +637,22 @@ TEST(SchedulingTable, SerializedSizeGrowsWithAllocations) {
   EXPECT_GT(big_size, small_size);
 }
 
+// SerializedSizeBytes is closed-form, and Serialize fills a buffer of that
+// size: both must agree on tables from every constructor.
+TEST(SchedulingTable, SerializedSizeMatchesSerializeOnFuzzedTables) {
+  Rng rng(1717);
+  for (int trial = 0; trial < 200; ++trial) {
+    const TimeNs length = rng.UniformInt(200, 30000);
+    const std::vector<std::vector<Allocation>> per_cpu = RandomPerCpu(rng, length);
+    const SchedulingTable built = trial % 2 == 0
+                                      ? SchedulingTable::Build(length, per_cpu)
+                                      : SchedulingTable::BuildWithExactSlices(length, per_cpu);
+    for (const SchedulingTable& table : {built, SchedulingTable::Deserialize(built.Serialize())}) {
+      ASSERT_EQ(table.SerializedSizeBytes(), table.Serialize().size()) << "trial " << trial;
+    }
+  }
+}
+
 TEST(SchedulingTable, LocalVcpusDerived) {
   const SchedulingTable table = SimpleTable();
   EXPECT_EQ(table.cpu(0).local_vcpus, (std::vector<VcpuId>{0, 1}));
