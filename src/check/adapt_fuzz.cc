@@ -1,192 +1,21 @@
-#include "src/check/adapt_fuzz.h"
+#include "src/check/scenario.h"
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "src/check/table_verifier.h"
 #include "src/common/parse.h"
-#include "src/common/rng.h"
 #include "src/fleet/host.h"
 
+// The adapt family: drives the adaptive controller through a real
+// fleet::Host and checks its resizes (see scenario.h).
 namespace tableau::check {
-namespace {
-
-std::string FormatDemand(const std::vector<double>& demand) {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < demand.size(); ++i) {
-    if (i > 0) {
-      out << ",";
-    }
-    if (demand[i] < 0) {
-      out << "x";  // Explicit no-data window.
-    } else {
-      out << FormatReal(demand[i]);
-    }
-  }
-  return out.str();
-}
-
-bool ParseDemand(const std::string& text, std::vector<double>* demand) {
-  demand->clear();
-  std::istringstream in(text);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    double value = -1.0;  // "x": an explicit no-data window.
-    if (token != "x" && !ParseReal(token.c_str(), /*positive=*/false, &value)) {
-      return false;
-    }
-    demand->push_back(value);
-  }
-  return true;
-}
-
-}  // namespace
-
-std::string FormatAdaptSpec(const AdaptScenarioSpec& spec) {
-  std::ostringstream out;
-  out << "tableau-adapt-repro v1\n";
-  out << "seed=" << spec.seed << "\n";
-  out << "num_cpus=" << spec.num_cpus << "\n";
-  out << "cores_per_socket=" << spec.cores_per_socket << "\n";
-  out << "slots_per_core=" << spec.slots_per_core << "\n";
-  out << "window_ns=" << spec.window_ns << "\n";
-  out << "windows=" << spec.windows << "\n";
-  out << "min_utilization=" << FormatReal(spec.min_utilization) << "\n";
-  out << "max_utilization=" << FormatReal(spec.max_utilization) << "\n";
-  out << "predictor_history=" << spec.policy.predictor.history << "\n";
-  out << "predictor_fit_window=" << spec.policy.predictor.fit_window << "\n";
-  out << "predictor_horizon=" << spec.policy.predictor.horizon << "\n";
-  out << "predictor_quantile=" << FormatReal(spec.policy.predictor.quantile)
-      << "\n";
-  out << "headroom=" << FormatReal(spec.policy.headroom) << "\n";
-  out << "quantize=" << FormatReal(spec.policy.quantize) << "\n";
-  out << "grow_deadband=" << FormatReal(spec.policy.grow_deadband) << "\n";
-  out << "shrink_deadband=" << FormatReal(spec.policy.shrink_deadband) << "\n";
-  out << "cooldown_windows=" << spec.policy.cooldown_windows << "\n";
-  out << "saturation_threshold="
-      << FormatReal(spec.policy.saturation_threshold) << "\n";
-  out << "saturation_growth=" << FormatReal(spec.policy.saturation_growth)
-      << "\n";
-  out << "floor_quantile=" << FormatReal(spec.policy.floor_quantile) << "\n";
-  for (const AdaptVmFuzzSpec& vm : spec.vms) {
-    out << "vm=init:" << FormatReal(vm.initial)
-        << " latency_ns:" << vm.latency_goal
-        << " demand:" << FormatDemand(vm.demand) << "\n";
-  }
-  return out.str();
-}
-
-std::optional<AdaptScenarioSpec> ParseAdaptSpec(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != "tableau-adapt-repro v1") {
-    return std::nullopt;
-  }
-  AdaptScenarioSpec spec;
-  spec.vms.clear();
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      return std::nullopt;
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    const char* v = value.c_str();
-    bool ok = true;
-    if (key == "seed") {
-      ok = ParseU64(v, &spec.seed);
-    } else if (key == "num_cpus") {
-      ok = ParseInt(v, 0, &spec.num_cpus);
-    } else if (key == "cores_per_socket") {
-      ok = ParseInt(v, 0, &spec.cores_per_socket);
-    } else if (key == "slots_per_core") {
-      ok = ParseInt(v, 0, &spec.slots_per_core);
-    } else if (key == "window_ns") {
-      ok = ParseI64(v, 0, &spec.window_ns);
-    } else if (key == "windows") {
-      ok = ParseInt(v, 0, &spec.windows);
-    } else if (key == "min_utilization") {
-      ok = ParseReal(v, false, &spec.min_utilization);
-    } else if (key == "max_utilization") {
-      ok = ParseReal(v, false, &spec.max_utilization);
-    } else if (key == "predictor_history") {
-      ok = ParseInt(v, 0, &spec.policy.predictor.history);
-    } else if (key == "predictor_fit_window") {
-      ok = ParseInt(v, 0, &spec.policy.predictor.fit_window);
-    } else if (key == "predictor_horizon") {
-      ok = ParseInt(v, 0, &spec.policy.predictor.horizon);
-    } else if (key == "predictor_quantile") {
-      ok = ParseReal(v, false, &spec.policy.predictor.quantile);
-    } else if (key == "headroom") {
-      ok = ParseReal(v, false, &spec.policy.headroom);
-    } else if (key == "quantize") {
-      ok = ParseReal(v, false, &spec.policy.quantize);
-    } else if (key == "grow_deadband") {
-      ok = ParseReal(v, false, &spec.policy.grow_deadband);
-    } else if (key == "shrink_deadband") {
-      ok = ParseReal(v, false, &spec.policy.shrink_deadband);
-    } else if (key == "cooldown_windows") {
-      ok = ParseInt(v, 0, &spec.policy.cooldown_windows);
-    } else if (key == "saturation_threshold") {
-      ok = ParseReal(v, false, &spec.policy.saturation_threshold);
-    } else if (key == "saturation_growth") {
-      ok = ParseReal(v, false, &spec.policy.saturation_growth);
-    } else if (key == "floor_quantile") {
-      ok = ParseReal(v, false, &spec.policy.floor_quantile);
-    } else if (key == "vm") {
-      AdaptVmFuzzSpec vm;
-      std::istringstream fields(value);
-      std::string field;
-      bool have_init = false;
-      bool have_demand = false;
-      while (fields >> field) {
-        const std::size_t colon = field.find(':');
-        if (colon == std::string::npos) {
-          return std::nullopt;
-        }
-        const std::string name = field.substr(0, colon);
-        const std::string body = field.substr(colon + 1);
-        bool field_ok = false;
-        if (name == "init") {
-          field_ok = ParseReal(body.c_str(), false, &vm.initial);
-          have_init = true;
-        } else if (name == "latency_ns") {
-          field_ok = ParseI64(body.c_str(), 0, &vm.latency_goal);
-        } else if (name == "demand") {
-          field_ok = ParseDemand(body, &vm.demand);
-          have_demand = true;
-        }
-        if (!field_ok) {
-          return std::nullopt;
-        }
-      }
-      if (!have_init || !have_demand) {
-        return std::nullopt;
-      }
-      spec.vms.push_back(std::move(vm));
-    } else {
-      return std::nullopt;
-    }
-    if (!ok) {
-      return std::nullopt;
-    }
-  }
-  if (spec.vms.empty()) {
-    return std::nullopt;
-  }
-  return spec;
-}
-
 namespace {
 
 // Structural validity: the spec names a buildable host, a policy the
 // controller's constructor accepts, and VMs whose initial reservations obey
-// their own clamps. No planner consultation (that is FeasibleAdaptSpec).
+// their own clamps. No planner consultation (that is FeasibleSpec).
 bool AdaptShapeOk(const AdaptScenarioSpec& spec) {
   if (spec.num_cpus < 1 || spec.cores_per_socket < 1 ||
       spec.cores_per_socket > spec.num_cpus || spec.slots_per_core < 1 ||
@@ -255,7 +84,7 @@ double ShadowFloor(const std::vector<double>& fed, int history, double q) {
 
 }  // namespace
 
-bool FeasibleAdaptSpec(const AdaptScenarioSpec& spec) {
+bool FeasibleSpec(const AdaptScenarioSpec& spec) {
   if (!AdaptShapeOk(spec)) {
     return false;
   }
@@ -271,8 +100,8 @@ bool FeasibleAdaptSpec(const AdaptScenarioSpec& spec) {
   return true;
 }
 
-AdaptCheckOutcome RunAdaptScenario(const AdaptScenarioSpec& spec) {
-  AdaptCheckOutcome outcome;
+CheckOutcome RunCheckedScenario(const AdaptScenarioSpec& spec) {
+  CheckOutcome outcome;
   if (!AdaptShapeOk(spec)) {
     outcome.violations.push_back("spec: malformed adapt scenario spec");
     return outcome;
@@ -414,227 +243,5 @@ AdaptCheckOutcome RunAdaptScenario(const AdaptScenarioSpec& spec) {
   return outcome;
 }
 
-std::string AdaptCategoryOf(const std::vector<std::string>& violations) {
-  if (violations.empty()) {
-    return "";
-  }
-  const std::string& first = violations.front();
-  const std::size_t colon = first.find(':');
-  if (colon == std::string::npos) {
-    return first.substr(0, std::min<std::size_t>(16, first.size()));
-  }
-  return first.substr(0, colon);
-}
-
-namespace {
-
-AdaptScenarioSpec DrawAdaptSpec(std::uint64_t seed, int attempt) {
-  Rng rng(MixSeeds(seed, static_cast<std::uint64_t>(attempt)));
-  AdaptScenarioSpec spec;
-  spec.seed = seed;
-  spec.num_cpus = 1 << rng.UniformInt(1, 3);  // 2, 4, or 8.
-  spec.cores_per_socket = spec.num_cpus <= 2 ? spec.num_cpus : spec.num_cpus / 2;
-  spec.slots_per_core = static_cast<int>(rng.UniformInt(1, 2));
-  spec.window_ns = 10 * kMillisecond;
-  spec.windows = static_cast<int>(rng.UniformInt(8, 40));
-  static constexpr double kQuantizeChoices[] = {1.0 / 64, 1.0 / 32, 1.0 / 16};
-  spec.policy.quantize = kQuantizeChoices[rng.UniformInt(0, 2)];
-  spec.policy.headroom = 1.0 + 0.1 * static_cast<double>(rng.UniformInt(0, 5));
-  spec.policy.grow_deadband = 1.0 / 64;
-  static constexpr double kShrinkChoices[] = {1.0 / 32, 1.0 / 16, 1.0 / 8};
-  spec.policy.shrink_deadband = kShrinkChoices[rng.UniformInt(0, 2)];
-  spec.policy.cooldown_windows = static_cast<int>(rng.UniformInt(1, 6));
-  spec.min_utilization = 1.0 / 32;
-  spec.max_utilization = 0.25 * static_cast<double>(rng.UniformInt(2, 4));
-  static constexpr TimeNs kLatencyChoices[] = {10 * kMillisecond,
-                                               20 * kMillisecond,
-                                               50 * kMillisecond};
-  const int max_vms =
-      std::min(6, spec.num_cpus * spec.slots_per_core);
-  const int num_vms = static_cast<int>(rng.UniformInt(1, max_vms));
-  // Aggregate budget so the initial set admits and leaves growth headroom
-  // (resize failures are still legal — kept-previous, not a violation).
-  double budget = 0.6 * static_cast<double>(spec.num_cpus);
-  for (int i = 0; i < num_vms; ++i) {
-    AdaptVmFuzzSpec vm;
-    vm.initial = spec.policy.quantize * static_cast<double>(rng.UniformInt(2, 8));
-    vm.initial = std::clamp(vm.initial, spec.min_utilization,
-                            std::min(spec.max_utilization, 0.5));
-    if (budget - vm.initial < 0) {
-      vm.initial = spec.min_utilization;
-    }
-    budget -= vm.initial;
-    vm.latency_goal = kLatencyChoices[rng.UniformInt(0, 2)];
-    // Bursty regime walk: a base level that occasionally jumps, per-window
-    // jitter, saturation spikes, and explicit no-data (idle) windows.
-    double base = 0.05 * static_cast<double>(rng.UniformInt(0, 10));
-    vm.demand.reserve(static_cast<std::size_t>(spec.windows));
-    for (int w = 0; w < spec.windows; ++w) {
-      if (rng.UniformDouble() < 0.12) {
-        base = 0.05 * static_cast<double>(rng.UniformInt(0, 10));
-      }
-      const double roll = rng.UniformDouble();
-      double demand;
-      if (roll < 0.15) {
-        demand = -1.0;  // Idle window: no data.
-      } else if (roll < 0.20) {
-        demand = 0.9 + 0.1 * rng.UniformDouble();  // Saturation spike.
-      } else {
-        demand = std::clamp(base + 0.05 * (rng.UniformDouble() - 0.5), 0.0, 1.0);
-      }
-      vm.demand.push_back(demand);
-    }
-    spec.vms.push_back(std::move(vm));
-  }
-  return spec;
-}
-
-}  // namespace
-
-AdaptScenarioSpec GenerateAdaptSpec(std::uint64_t seed) {
-  for (int attempt = 0; attempt < 32; ++attempt) {
-    AdaptScenarioSpec spec = DrawAdaptSpec(seed, attempt);
-    if (FeasibleAdaptSpec(spec)) {
-      return spec;
-    }
-  }
-  // Trivially feasible fallback (should be unreachable in practice).
-  AdaptScenarioSpec fallback;
-  fallback.seed = seed;
-  fallback.num_cpus = 2;
-  fallback.cores_per_socket = 2;
-  fallback.slots_per_core = 1;
-  fallback.vms.push_back(AdaptVmFuzzSpec{});
-  fallback.vms.back().demand.assign(
-      static_cast<std::size_t>(fallback.windows), 0.25);
-  return fallback;
-}
-
-namespace {
-
-std::vector<AdaptScenarioSpec> AdaptShrinkCandidates(
-    const AdaptScenarioSpec& spec) {
-  std::vector<AdaptScenarioSpec> candidates;
-  // Biggest reductions first: whole VMs, then the window trace, then
-  // per-trace simplifications, then host size.
-  if (spec.vms.size() > 1) {
-    for (std::size_t i = 0; i < spec.vms.size(); ++i) {
-      AdaptScenarioSpec candidate = spec;
-      candidate.vms.erase(candidate.vms.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-      candidates.push_back(std::move(candidate));
-    }
-  }
-  if (spec.windows > 4) {
-    for (const int windows : {spec.windows / 2, spec.windows - 1}) {
-      AdaptScenarioSpec candidate = spec;
-      candidate.windows = windows;
-      for (AdaptVmFuzzSpec& vm : candidate.vms) {
-        if (static_cast<int>(vm.demand.size()) > windows) {
-          vm.demand.resize(static_cast<std::size_t>(windows));
-        }
-      }
-      candidates.push_back(std::move(candidate));
-    }
-  }
-  for (std::size_t i = 0; i < spec.vms.size(); ++i) {
-    double sum = 0;
-    int data = 0;
-    for (const double d : spec.vms[i].demand) {
-      if (d >= 0) {
-        sum += d;
-        ++data;
-      }
-    }
-    const double mean = data > 0 ? sum / static_cast<double>(data) : 0.0;
-    bool varied = false;
-    bool has_gap = false;
-    for (const double d : spec.vms[i].demand) {
-      if (d >= 0 && std::abs(d - mean) > 1e-12) {
-        varied = true;
-      }
-      if (d < 0) {
-        has_gap = true;
-      }
-    }
-    if (varied) {
-      // Flatten the trace to its mean (keeps no-data markers in place).
-      AdaptScenarioSpec candidate = spec;
-      for (double& d : candidate.vms[i].demand) {
-        if (d >= 0) {
-          d = mean;
-        }
-      }
-      candidates.push_back(std::move(candidate));
-    }
-    if (has_gap) {
-      // Materialize the idle windows as mean demand.
-      AdaptScenarioSpec candidate = spec;
-      for (double& d : candidate.vms[i].demand) {
-        if (d < 0) {
-          d = mean;
-        }
-      }
-      candidates.push_back(std::move(candidate));
-    }
-    {
-      // Round the trace onto a coarse grid.
-      AdaptScenarioSpec candidate = spec;
-      bool changed = false;
-      for (double& d : candidate.vms[i].demand) {
-        if (d >= 0) {
-          const double rounded = std::round(d * 64.0) / 64.0;
-          if (std::abs(rounded - d) > 1e-12) {
-            d = rounded;
-            changed = true;
-          }
-        }
-      }
-      if (changed) {
-        candidates.push_back(std::move(candidate));
-      }
-    }
-  }
-  if (spec.num_cpus > 2) {
-    AdaptScenarioSpec candidate = spec;
-    candidate.num_cpus = spec.num_cpus / 2;
-    candidate.cores_per_socket =
-        std::min(candidate.cores_per_socket, candidate.num_cpus);
-    candidates.push_back(std::move(candidate));
-  }
-  return candidates;
-}
-
-}  // namespace
-
-AdaptShrinkResult ShrinkAdaptSpec(const AdaptScenarioSpec& spec,
-                                  const std::string& category) {
-  AdaptShrinkResult result;
-  result.spec = spec;
-  if (category.empty()) {
-    return result;
-  }
-  constexpr int kMaxRuns = 200;
-  bool progress = true;
-  while (progress && result.runs < kMaxRuns) {
-    progress = false;
-    for (const AdaptScenarioSpec& candidate : AdaptShrinkCandidates(result.spec)) {
-      if (!FeasibleAdaptSpec(candidate)) {
-        continue;
-      }
-      ++result.runs;
-      const AdaptCheckOutcome outcome = RunAdaptScenario(candidate);
-      if (AdaptCategoryOf(outcome.violations) == category) {
-        result.spec = candidate;
-        progress = true;
-        break;
-      }
-      if (result.runs >= kMaxRuns) {
-        break;
-      }
-    }
-  }
-  return result;
-}
-
 }  // namespace tableau::check
+

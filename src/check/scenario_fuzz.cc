@@ -1,16 +1,12 @@
-#include "src/check/scenario_fuzz.h"
+#include "src/check/scenario.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "src/check/oracles.h"
 #include "src/check/table_verifier.h"
 #include "src/common/check.h"
-#include "src/common/parse.h"
-#include "src/common/rng.h"
 #include "src/core/replan.h"
 #include "src/faults/fault_plan.h"
 #include "src/harness/scenario.h"
@@ -19,143 +15,9 @@
 #include "src/workloads/ping.h"
 #include "src/workloads/stress.h"
 
+// The host family: builds a scenario through the harness and replays its
+// trace through the differential oracle (see scenario.h).
 namespace tableau::check {
-
-const char* WorkloadKindName(WorkloadKind kind) {
-  switch (kind) {
-    case WorkloadKind::kHog:
-      return "hog";
-    case WorkloadKind::kStress:
-      return "stress";
-    case WorkloadKind::kStressHeavy:
-      return "stress_heavy";
-    case WorkloadKind::kNoise:
-      return "noise";
-    case WorkloadKind::kPing:
-      return "ping";
-  }
-  return "?";
-}
-
-std::optional<WorkloadKind> WorkloadKindFromName(std::string_view name) {
-  for (WorkloadKind kind : {WorkloadKind::kHog, WorkloadKind::kStress,
-                            WorkloadKind::kStressHeavy, WorkloadKind::kNoise,
-                            WorkloadKind::kPing}) {
-    if (name == WorkloadKindName(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-std::string FormatSpec(const ScenarioSpec& spec) {
-  std::ostringstream out;
-  out << "tableau-repro v1\n";
-  out << "seed=" << spec.seed << "\n";
-  out << "scheduler=" << SchedKindName(spec.scheduler) << "\n";
-  out << "capped=" << (spec.capped ? 1 : 0) << "\n";
-  out << "guest_cpus=" << spec.guest_cpus << "\n";
-  out << "cores_per_socket=" << spec.cores_per_socket << "\n";
-  out << "duration_ns=" << spec.duration << "\n";
-  out << "fault_intensity=" << FormatReal(spec.fault_intensity) << "\n";
-  out << "fault_seed=" << spec.fault_seed << "\n";
-  out << "planner_failure=" << FormatReal(spec.planner_failure) << "\n";
-  out << "replan_at_ns=" << spec.replan_at << "\n";
-  out << "slip_ns=" << spec.slip_ns << "\n";
-  out << "mutant=" << MutantKindName(spec.mutant) << "\n";
-  out << "mutant_stride=" << spec.mutant_stride << "\n";
-  for (const VmFuzzSpec& vm : spec.vms) {
-    out << "vm=vcpus:" << vm.vcpus << " util:" << FormatReal(vm.utilization)
-        << " latency_ns:" << vm.latency_goal
-        << " workload:" << WorkloadKindName(vm.workload)
-        << " gang:" << (vm.gang ? 1 : 0) << "\n";
-  }
-  return out.str();
-}
-
-std::optional<ScenarioSpec> ParseSpec(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != "tableau-repro v1") {
-    return std::nullopt;
-  }
-  ScenarioSpec spec;
-  spec.vms.clear();
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      return std::nullopt;
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    const char* v = value.c_str();
-    bool ok = true;
-    if (key == "seed") {
-      ok = ParseU64(v, &spec.seed);
-    } else if (key == "scheduler") {
-      const auto kind = SchedKindFromName(value);
-      if (!kind) return std::nullopt;
-      spec.scheduler = *kind;
-    } else if (key == "capped") {
-      ok = value == "0" || value == "1";
-      spec.capped = value == "1";
-    } else if (key == "guest_cpus") {
-      ok = ParseInt(v, 0, &spec.guest_cpus);
-    } else if (key == "cores_per_socket") {
-      ok = ParseInt(v, 0, &spec.cores_per_socket);
-    } else if (key == "duration_ns") {
-      ok = ParseI64(v, 0, &spec.duration);
-    } else if (key == "fault_intensity") {
-      ok = ParseReal(v, false, &spec.fault_intensity);
-    } else if (key == "fault_seed") {
-      ok = ParseU64(v, &spec.fault_seed);
-    } else if (key == "planner_failure") {
-      ok = ParseReal(v, false, &spec.planner_failure);
-    } else if (key == "replan_at_ns") {
-      ok = ParseI64(v, 0, &spec.replan_at);
-    } else if (key == "slip_ns") {
-      ok = ParseI64(v, 0, &spec.slip_ns);
-    } else if (key == "mutant") {
-      const auto kind = MutantKindFromName(value);
-      if (!kind) return std::nullopt;
-      spec.mutant = *kind;
-    } else if (key == "mutant_stride") {
-      ok = ParseInt(v, 0, &spec.mutant_stride);
-    } else if (key == "vm") {
-      VmFuzzSpec vm;
-      char workload[32] = {0};
-      int gang = 0;
-      long long latency = 0;
-      int consumed = 0;
-      if (std::sscanf(value.c_str(),
-                      "vcpus:%d util:%lf latency_ns:%lld workload:%31s gang:%d%n",
-                      &vm.vcpus, &vm.utilization, &latency, workload, &gang,
-                      &consumed) != 5 ||
-          static_cast<std::size_t>(consumed) != value.size()) {
-        return std::nullopt;
-      }
-      vm.latency_goal = static_cast<TimeNs>(latency);
-      const auto kind = WorkloadKindFromName(workload);
-      if (!kind) return std::nullopt;
-      vm.workload = *kind;
-      vm.gang = gang != 0;
-      spec.vms.push_back(vm);
-    } else {
-      return std::nullopt;
-    }
-    if (!ok) {
-      return std::nullopt;
-    }
-  }
-  if (spec.vms.empty()) {
-    return std::nullopt;
-  }
-  return spec;
-}
-
 namespace {
 
 // Structural validity: the spec names a buildable machine and a scheduler
@@ -217,79 +79,6 @@ bool PlanAdmits(const ScenarioSpec& spec) {
 
 bool FeasibleSpec(const ScenarioSpec& spec) {
   return SpecShapeOk(spec) && PlanAdmits(spec);
-}
-
-namespace {
-
-ScenarioSpec DrawSpec(std::uint64_t seed, int attempt) {
-  Rng rng(MixSeeds(seed, static_cast<std::uint64_t>(attempt)));
-  ScenarioSpec spec;
-  spec.seed = seed;
-  spec.scheduler = kAllSchedKinds[rng.UniformInt(0, 4)];
-  switch (spec.scheduler) {
-    case SchedKind::kCredit2:
-      spec.capped = false;
-      break;
-    case SchedKind::kRtds:
-      spec.capped = true;
-      break;
-    default:
-      spec.capped = rng.UniformDouble() < 0.5;
-      break;
-  }
-  spec.guest_cpus = static_cast<int>(rng.UniformInt(1, 4));
-  spec.cores_per_socket =
-      spec.guest_cpus <= 2 ? spec.guest_cpus : (spec.guest_cpus + 1) / 2;
-  spec.duration = rng.UniformInt(4, 12) * 5 * kMillisecond;
-  spec.fault_seed = MixSeeds(seed, 0x5eed);
-  if (rng.UniformDouble() < 0.5) {
-    spec.fault_intensity = 0.05 * rng.UniformInt(1, 10);
-  }
-  const bool tableau = spec.scheduler == SchedKind::kTableau;
-  if (tableau && rng.UniformDouble() < 0.35) {
-    spec.replan_at = spec.duration / 2;
-    if (rng.UniformDouble() < 0.5) {
-      spec.planner_failure = 0.25;
-    }
-  }
-  if (tableau && rng.UniformDouble() < 0.35) {
-    spec.slip_ns = 200 * kMicrosecond * rng.UniformInt(1, 5);
-  }
-  static constexpr TimeNs kLatencyChoices[] = {
-      5 * kMillisecond, 10 * kMillisecond, 20 * kMillisecond, 40 * kMillisecond,
-      80 * kMillisecond};
-  const int max_vms = std::min(6, 2 * spec.guest_cpus);
-  const int num_vms = static_cast<int>(rng.UniformInt(1, max_vms));
-  for (int i = 0; i < num_vms; ++i) {
-    VmFuzzSpec vm;
-    vm.vcpus = rng.UniformDouble() < 0.25 ? 2 : 1;
-    vm.gang = vm.vcpus > 1 && rng.UniformDouble() < 0.5;
-    vm.utilization = 0.05 * rng.UniformInt(1, 8);
-    vm.latency_goal = kLatencyChoices[rng.UniformInt(0, 4)];
-    vm.workload = static_cast<WorkloadKind>(rng.UniformInt(0, 4));
-    spec.vms.push_back(vm);
-  }
-  return spec;
-}
-
-}  // namespace
-
-ScenarioSpec GenerateSpec(std::uint64_t seed) {
-  for (int attempt = 0; attempt < 32; ++attempt) {
-    ScenarioSpec spec = DrawSpec(seed, attempt);
-    if (FeasibleSpec(spec)) {
-      return spec;
-    }
-  }
-  // Trivially feasible fallback (should be unreachable in practice).
-  ScenarioSpec fallback;
-  fallback.seed = seed;
-  fallback.scheduler = SchedKind::kCredit;
-  fallback.guest_cpus = 1;
-  fallback.cores_per_socket = 1;
-  fallback.duration = 20 * kMillisecond;
-  fallback.vms.push_back(VmFuzzSpec{});
-  return fallback;
 }
 
 CheckOutcome RunCheckedScenario(const ScenarioSpec& spec) {
@@ -466,121 +255,5 @@ CheckOutcome RunCheckedScenario(const ScenarioSpec& spec) {
   return outcome;
 }
 
-std::string CategoryOf(const std::vector<std::string>& violations) {
-  if (violations.empty()) {
-    return "";
-  }
-  const std::string& first = violations.front();
-  std::size_t cut = 0;
-  while (cut < first.size() && !(first[cut] >= '0' && first[cut] <= '9')) {
-    ++cut;
-  }
-  std::string category = first.substr(0, cut);
-  while (!category.empty() && category.back() == ' ') {
-    category.pop_back();
-  }
-  if (category.empty()) {
-    category = first.substr(0, std::min<std::size_t>(16, first.size()));
-  }
-  return category;
-}
-
-namespace {
-
-std::vector<ScenarioSpec> ShrinkCandidates(const ScenarioSpec& spec) {
-  std::vector<ScenarioSpec> candidates;
-  // Biggest reductions first: whole VMs, then per-VM simplifications, then
-  // knobs, then time and space.
-  if (spec.vms.size() > 1) {
-    for (std::size_t i = 0; i < spec.vms.size(); ++i) {
-      ScenarioSpec candidate = spec;
-      candidate.vms.erase(candidate.vms.begin() + static_cast<std::ptrdiff_t>(i));
-      candidates.push_back(std::move(candidate));
-    }
-  }
-  for (std::size_t i = 0; i < spec.vms.size(); ++i) {
-    if (spec.vms[i].vcpus > 1) {
-      ScenarioSpec candidate = spec;
-      candidate.vms[i].vcpus = 1;
-      candidate.vms[i].gang = false;
-      candidates.push_back(std::move(candidate));
-    }
-    if (spec.vms[i].workload != WorkloadKind::kHog) {
-      ScenarioSpec candidate = spec;
-      candidate.vms[i].workload = WorkloadKind::kHog;
-      candidates.push_back(std::move(candidate));
-    }
-    if (spec.vms[i].gang) {
-      ScenarioSpec candidate = spec;
-      candidate.vms[i].gang = false;
-      candidates.push_back(std::move(candidate));
-    }
-  }
-  if (spec.fault_intensity > 0.0) {
-    ScenarioSpec candidate = spec;
-    candidate.fault_intensity = 0.0;
-    candidates.push_back(std::move(candidate));
-  }
-  if (spec.planner_failure > 0.0) {
-    ScenarioSpec candidate = spec;
-    candidate.planner_failure = 0.0;
-    candidates.push_back(std::move(candidate));
-  }
-  if (spec.replan_at > 0) {
-    ScenarioSpec candidate = spec;
-    candidate.replan_at = 0;
-    candidate.planner_failure = 0.0;
-    candidates.push_back(std::move(candidate));
-  }
-  if (spec.slip_ns > 0) {
-    ScenarioSpec candidate = spec;
-    candidate.slip_ns = 0;
-    candidates.push_back(std::move(candidate));
-  }
-  if (spec.duration > 10 * kMillisecond) {
-    ScenarioSpec candidate = spec;
-    candidate.duration = spec.duration / 2;
-    candidates.push_back(std::move(candidate));
-  }
-  if (spec.guest_cpus > 1) {
-    ScenarioSpec candidate = spec;
-    candidate.guest_cpus = spec.guest_cpus - 1;
-    candidate.cores_per_socket =
-        std::min(candidate.cores_per_socket, candidate.guest_cpus);
-    candidates.push_back(std::move(candidate));
-  }
-  return candidates;
-}
-
-}  // namespace
-
-ShrinkResult Shrink(const ScenarioSpec& spec, const std::string& category) {
-  ShrinkResult result;
-  result.spec = spec;
-  if (category.empty()) {
-    return result;
-  }
-  constexpr int kMaxRuns = 200;
-  bool progress = true;
-  while (progress && result.runs < kMaxRuns) {
-    progress = false;
-    for (const ScenarioSpec& candidate : ShrinkCandidates(result.spec)) {
-      if (!FeasibleSpec(candidate)) {
-        continue;
-      }
-      ++result.runs;
-      const CheckOutcome outcome = RunCheckedScenario(candidate);
-      if (CategoryOf(outcome.violations) == category) {
-        result.spec = candidate;
-        progress = true;
-        break;
-      }
-      if (result.runs >= kMaxRuns) {
-        break;
-      }
-    }
-  }
-  return result;
-}
-
 }  // namespace tableau::check
+

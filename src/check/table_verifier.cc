@@ -175,8 +175,55 @@ TimeNs MaxGap(const std::vector<Allocation>& intervals, TimeNs length) {
   return worst;
 }
 
+// Frames that can cut the vCPU's service: the stretches between the
+// distinct multiples, in (0, length], of the periods of every vCPU in its
+// core cluster (the pCPUs it runs on, closed over every vCPU that runs on
+// several pCPUs). A scheduler only switches jobs at releases, so each frame
+// holds at most two pieces of the vCPU: one under EDF, or one more where a
+// C=D piece is released mid-frame; DP-Fair's McNaughton layout gives each
+// task one share per frame, split over at most two pCPUs.
+TimeNs FramesOf(const SchedulingTable& table, const std::vector<VcpuContract>& contracts,
+                VcpuId vcpu) {
+  std::vector<std::vector<int>> cpus_of;
+  for (const VcpuContract& contract : contracts) {
+    cpus_of.push_back(table.CpusOf(contract.vcpu));
+  }
+  std::vector<char> in_cluster(static_cast<std::size_t>(table.num_cpus()), 0);
+  for (const int cpu : table.CpusOf(vcpu)) {
+    in_cluster[static_cast<std::size_t>(cpu)] = 1;
+  }
+  const auto touches = [&](const std::vector<int>& cpus) {
+    return std::any_of(cpus.begin(), cpus.end(), [&](int cpu) {
+      return in_cluster[static_cast<std::size_t>(cpu)] != 0;
+    });
+  };
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const std::vector<int>& cpus : cpus_of) {
+      if (cpus.size() > 1 && touches(cpus)) {
+        for (const int cpu : cpus) {
+          grew |= in_cluster[static_cast<std::size_t>(cpu)] == 0;
+          in_cluster[static_cast<std::size_t>(cpu)] = 1;
+        }
+      }
+    }
+  }
+  std::vector<TimeNs> boundaries;
+  for (std::size_t i = 0; i < contracts.size(); ++i) {
+    if (contracts[i].period > 0 && (contracts[i].vcpu == vcpu || touches(cpus_of[i]))) {
+      for (TimeNs t = contracts[i].period; t <= table.length(); t += contracts[i].period) {
+        boundaries.push_back(t);
+      }
+    }
+  }
+  std::sort(boundaries.begin(), boundaries.end());
+  return static_cast<TimeNs>(std::unique(boundaries.begin(), boundaries.end()) -
+                             boundaries.begin());
+}
+
 void CheckContract(const SchedulingTable& table, const VcpuContract& contract,
-                   const VerifyOptions& options, std::vector<std::string>* violations) {
+                   const std::vector<VcpuContract>& contracts, const VerifyOptions& options,
+                   std::vector<std::string>* violations) {
   const TimeNs length = table.length();
   const std::vector<Allocation> intervals = IntervalsOf(table, contract.vcpu);
 
@@ -229,15 +276,18 @@ void CheckContract(const SchedulingTable& table, const VcpuContract& contract,
                                    contract.vcpu, total_shortfall, donated));
   }
 
-  // Donation budget: coalescing removes sub-threshold slivers; a period
-  // window's job fragments into at most two boundary slivers, so more than
-  // 2 * threshold of donation per window means the planner shaved off whole
-  // jobs, not slivers.
+  // Donation budget: coalescing removes sub-threshold slivers, at most two
+  // per frame (FramesOf), so more than 2 * threshold of donation per frame
+  // means the planner shaved off whole jobs, not slivers. Every period
+  // window is at least one frame; the cluster walk runs only past that.
   if (options.coalesce_threshold > 0 &&
       donated > windows * 2 * options.coalesce_threshold) {
-    violations->push_back(Describe("donation exceeds the coalescing sliver budget",
-                                   contract.vcpu, donated,
-                                   windows * 2 * options.coalesce_threshold));
+    const TimeNs budget =
+        FramesOf(table, contracts, contract.vcpu) * 2 * options.coalesce_threshold;
+    if (donated > budget) {
+      violations->push_back(Describe("donation exceeds the coalescing sliver budget",
+                                     contract.vcpu, donated, budget));
+    }
   }
 
   // Blackout: 2(T - C) from the EDF supply-bound argument (paper Sec. 4),
@@ -282,7 +332,7 @@ std::vector<std::string> VerifyTable(const SchedulingTable& table,
   CheckSliceAgreement(table, &violations);
   CheckCrossCoreExclusion(table, &violations);
   for (const VcpuContract& contract : contracts) {
-    CheckContract(table, contract, options, &violations);
+    CheckContract(table, contract, contracts, options, &violations);
   }
   return violations;
 }

@@ -13,7 +13,9 @@
 //    receives at least C - donated_ns, and the summed shortfall across all
 //    windows never exceeds the coalescing donation the planner accounted;
 //  - donation budget: coalescing may shave at most two sub-threshold
-//    slivers per period window off a reservation;
+//    slivers per frame off a reservation, where frames run between the
+//    period boundaries of the vCPUs sharing its pCPUs (a DP-Fair cluster
+//    cuts every task's service at each of them);
 //  - blackout: the longest cyclic service gap is at most 2(T - C), plus
 //    slack for donated slivers (a dropped sliver merges its two adjacent
 //    gaps);

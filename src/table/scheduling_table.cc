@@ -557,10 +557,30 @@ LatencyProfile AnalyzeWakeupLatency(const SchedulingTable& table, VcpuId vcpu) {
   return profile;
 }
 
+namespace {
+
+// True when `vcpu` holds time overlapping `span` on a pCPU other than `cpu`
+// (a C=D or DP-Fair vCPU that migrates between pCPUs).
+bool RunsElsewhere(const std::vector<std::vector<Allocation>>& per_cpu, std::size_t cpu,
+                   VcpuId vcpu, const Allocation& span) {
+  for (std::size_t other = 0; other < per_cpu.size(); ++other) {
+    for (const Allocation& alloc : per_cpu[other]) {
+      if (other != cpu && alloc.vcpu == vcpu && alloc.start < span.end &&
+          span.start < alloc.end) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 std::vector<std::vector<Allocation>> CoalesceAllocations(
     std::vector<std::vector<Allocation>> per_cpu, TimeNs threshold,
     std::vector<std::pair<VcpuId, TimeNs>>* donated_out) {
-  for (auto& cpu : per_cpu) {
+  for (std::size_t c = 0; c < per_cpu.size(); ++c) {
+    std::vector<Allocation>& cpu = per_cpu[c];
     std::sort(cpu.begin(), cpu.end(),
               [](const Allocation& a, const Allocation& b) { return a.start < b.start; });
     std::vector<Allocation> result;
@@ -576,18 +596,15 @@ std::vector<std::vector<Allocation>> CoalesceAllocations(
         continue;
       }
       // Sub-threshold sliver: donate to the time-adjacent predecessor if
-      // contiguous; otherwise it becomes idle time.
-      if (!result.empty() && result.back().end == alloc.start) {
-        if (donated_out != nullptr) {
-          donated_out->emplace_back(alloc.vcpu, alloc.Length());
-        }
+      // contiguous and not running elsewhere meanwhile; otherwise it is
+      // dropped and the interval stays idle (recoverable via second-level
+      // scheduling at runtime).
+      if (donated_out != nullptr) {
+        donated_out->emplace_back(alloc.vcpu, alloc.Length());
+      }
+      if (!result.empty() && result.back().end == alloc.start &&
+          !RunsElsewhere(per_cpu, c, result.back().vcpu, alloc)) {
         result.back().end = alloc.end;
-      } else {
-        if (donated_out != nullptr) {
-          donated_out->emplace_back(alloc.vcpu, alloc.Length());
-        }
-        // Dropped: interval stays idle (recoverable via second-level
-        // scheduling at runtime).
       }
     }
     cpu = std::move(result);

@@ -176,7 +176,9 @@ LatencyProfile AnalyzeWakeupLatency(const SchedulingTable& table, VcpuId vcpu);
 // sub-threshold slivers cannot be enforced given context-switch overheads.
 // Isolated sub-threshold slivers (idle on both sides) become idle time.
 // Returns the total time donated away from each affected vCPU via
-// `donated_out` (indexed by vCPU id) for accounting.
+// `donated_out` (indexed by vCPU id) for accounting. A sliver is not donated
+// to a predecessor that runs on another pCPU during the sliver (a split
+// vCPU); it becomes idle time instead.
 std::vector<std::vector<Allocation>> CoalesceAllocations(
     std::vector<std::vector<Allocation>> per_cpu, TimeNs threshold,
     std::vector<std::pair<VcpuId, TimeNs>>* donated_out);

@@ -10,19 +10,18 @@
 //   - idle (no-data) windows never trigger a resize.
 //
 // A violation greedily shrinks to a minimal reproducer written under
-// tests/repro/adapt/ in the committed-corpus format, and the corpus replays
-// clean here so past bugs stay fixed.
+// tests/repro/adapt/ in the committed-corpus format; repro_corpus_test
+// replays that corpus so past bugs stay fixed.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
-#include "src/check/adapt_fuzz.h"
+#include "src/check/scenario.h"
 
 #ifndef TABLEAU_REPRO_DIR
 #error "TABLEAU_REPRO_DIR must point at the committed reproducer corpus"
@@ -42,22 +41,37 @@ std::string WriteReproducer(const AdaptScenarioSpec& spec,
   const fs::path file = dir / ("shrunk-seed-" + std::to_string(seed) + ".txt");
   std::ofstream out(file);
   out << "# category: " << category << "\n";
-  out << FormatAdaptSpec(spec);
+  out << Format(spec);
   return file.string();
+}
+
+std::uint64_t Fnv1a(const std::string& text, std::uint64_t hash) {
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
 }
 
 TEST(AdaptFuzz, ThousandSeedBatteryHoldsEveryProperty) {
   int total_resizes = 0;
+  // FNV-1a over every drawn spec's text and every committed resize, pinned
+  // so a change to the generator or the control loop cannot pass unseen.
+  std::uint64_t spec_hash = 1469598103934665603ull;
+  std::uint64_t resize_log_hash = spec_hash;
   for (int seed = 1; seed <= kBatterySeeds; ++seed) {
-    const AdaptScenarioSpec spec =
-        GenerateAdaptSpec(static_cast<std::uint64_t>(seed));
-    const AdaptCheckOutcome outcome = RunAdaptScenario(spec);
+    const auto spec = Generate<AdaptScenarioSpec>(static_cast<std::uint64_t>(seed));
+    const CheckOutcome outcome = RunCheckedScenario(spec);
     total_resizes += outcome.resizes;
+    spec_hash = Fnv1a(Format(spec), spec_hash);
+    for (const std::string& entry : outcome.resize_log) {
+      resize_log_hash = Fnv1a(entry + "\n", resize_log_hash);
+    }
     if (outcome.violations.empty()) {
       continue;
     }
-    const std::string category = AdaptCategoryOf(outcome.violations);
-    const AdaptShrinkResult shrunk = ShrinkAdaptSpec(spec, category);
+    const std::string category = CategoryOf(outcome.violations);
+    const ShrinkResult<AdaptScenarioSpec> shrunk = Shrink(spec, category);
     const std::string path =
         WriteReproducer(shrunk.spec, category, static_cast<std::uint64_t>(seed));
     FAIL() << "seed " << seed << " (" << outcome.violations.size()
@@ -68,13 +82,15 @@ TEST(AdaptFuzz, ThousandSeedBatteryHoldsEveryProperty) {
   // The battery is vacuous if the loop never actuates: across 1000 bursty
   // scenarios the controller must commit plenty of real resizes.
   EXPECT_GT(total_resizes, 1000);
+  EXPECT_EQ(spec_hash, 0x548ec14f85c6531dull);
+  EXPECT_EQ(resize_log_hash, 0x55772004fc41ada5ull);
 }
 
 TEST(AdaptFuzz, ControlLoopIsDeterministic) {
   for (const std::uint64_t seed : {3u, 17u, 101u, 977u}) {
-    const AdaptScenarioSpec spec = GenerateAdaptSpec(seed);
-    const AdaptCheckOutcome first = RunAdaptScenario(spec);
-    const AdaptCheckOutcome second = RunAdaptScenario(spec);
+    const auto spec = Generate<AdaptScenarioSpec>(seed);
+    const CheckOutcome first = RunCheckedScenario(spec);
+    const CheckOutcome second = RunCheckedScenario(spec);
     EXPECT_EQ(first.resizes, second.resizes) << "seed " << seed;
     EXPECT_EQ(first.resize_log, second.resize_log) << "seed " << seed;
     EXPECT_EQ(first.violations, second.violations) << "seed " << seed;
@@ -83,13 +99,13 @@ TEST(AdaptFuzz, ControlLoopIsDeterministic) {
 
 TEST(AdaptFuzz, SpecRoundTripsThroughText) {
   for (int seed = 1; seed <= 50; ++seed) {
-    const AdaptScenarioSpec spec =
-        GenerateAdaptSpec(static_cast<std::uint64_t>(seed));
-    const std::string text = FormatAdaptSpec(spec);
-    const auto parsed = ParseAdaptSpec(text);
+    const std::string text =
+        Format(Generate<AdaptScenarioSpec>(static_cast<std::uint64_t>(seed)));
+    const auto parsed = Parse(text);
     ASSERT_TRUE(parsed.has_value()) << "seed " << seed;
+    ASSERT_TRUE(std::holds_alternative<AdaptScenarioSpec>(*parsed)) << "seed " << seed;
     // Canonical form is a fixed point: format(parse(format(s))) == format(s).
-    EXPECT_EQ(FormatAdaptSpec(*parsed), text) << "seed " << seed;
+    EXPECT_EQ(Format(std::get<AdaptScenarioSpec>(*parsed)), text) << "seed " << seed;
   }
 }
 
@@ -97,76 +113,29 @@ TEST(AdaptFuzz, ParserRejectsMalformedNumbers) {
   // Every value is parsed whole, including each demand entry.
   const std::string header = "tableau-adapt-repro v1\n";
   const std::string vm = "vm=init:0.25 latency_ns:20000000 demand:0.5,x,0.25\n";
-  ASSERT_TRUE(ParseAdaptSpec(header + "seed=12\nnum_cpus=4\n" + vm).has_value());
-  EXPECT_FALSE(ParseAdaptSpec(header + "seed=12abc\n" + vm).has_value());
-  EXPECT_FALSE(ParseAdaptSpec(header + "num_cpus=4x\n" + vm).has_value());
-  EXPECT_FALSE(ParseAdaptSpec(header + "headroom=1.3.1\n" + vm).has_value());
-  EXPECT_FALSE(ParseAdaptSpec(
-                   header + "vm=init:0.25 latency_ns:20000000 demand:0.5zz,x\n")
-                   .has_value());
-  EXPECT_FALSE(ParseAdaptSpec(
-                   header + "vm=init:0.25q latency_ns:20000000 demand:0.5\n")
-                   .has_value());
-  EXPECT_FALSE(ParseAdaptSpec(
-                   header + "vm=init:0.25 latency_ns:20ms demand:0.5\n")
-                   .has_value());
+  ASSERT_TRUE(Parse(header + "seed=12\nnum_cpus=4\n" + vm).has_value());
+  EXPECT_FALSE(Parse(header + "seed=12abc\n" + vm).has_value());
+  EXPECT_FALSE(Parse(header + "num_cpus=4x\n" + vm).has_value());
+  EXPECT_FALSE(Parse(header + "headroom=1.3.1\n" + vm).has_value());
+  EXPECT_FALSE(Parse(header + "vm=init:0.25 latency_ns:20000000 demand:0.5zz,x\n").has_value());
+  EXPECT_FALSE(Parse(header + "vm=init:0.25q latency_ns:20000000 demand:0.5\n").has_value());
+  EXPECT_FALSE(Parse(header + "vm=init:0.25 latency_ns:20ms demand:0.5\n").has_value());
 }
 
 TEST(AdaptFuzz, ParserRejectsMalformedSpecs) {
-  EXPECT_FALSE(ParseAdaptSpec("").has_value());
-  EXPECT_FALSE(ParseAdaptSpec("tableau-repro v1\nseed=1\n").has_value());
-  EXPECT_FALSE(
-      ParseAdaptSpec("tableau-adapt-repro v1\nbogus_key=1\n").has_value());
-  EXPECT_FALSE(  // No VMs.
-      ParseAdaptSpec("tableau-adapt-repro v1\nseed=1\n").has_value());
-  EXPECT_FALSE(  // VM line without a demand trace.
-      ParseAdaptSpec("tableau-adapt-repro v1\nvm=init:0.25\n").has_value());
+  EXPECT_FALSE(Parse("").has_value());
+  EXPECT_FALSE(Parse("tableau-repro v1\nseed=1\n").has_value());
+  EXPECT_FALSE(Parse("tableau-adapt-repro v1\nbogus_key=1\n").has_value());
+  EXPECT_FALSE(Parse("tableau-adapt-repro v1\nseed=1\n").has_value());  // No VMs.
+  // A vm= line names every field: here the latency and demand trace are missing.
+  EXPECT_FALSE(Parse("tableau-adapt-repro v1\nvm=init:0.25\n").has_value());
 }
 
 TEST(AdaptFuzz, ShrinkWithoutCategoryIsIdentity) {
-  const AdaptScenarioSpec spec = GenerateAdaptSpec(7);
-  const AdaptShrinkResult result = ShrinkAdaptSpec(spec, "");
+  const auto spec = Generate<AdaptScenarioSpec>(7);
+  const ShrinkResult<AdaptScenarioSpec> result = Shrink(spec, "");
   EXPECT_EQ(result.runs, 0);
-  EXPECT_EQ(FormatAdaptSpec(result.spec), FormatAdaptSpec(spec));
-}
-
-std::vector<std::filesystem::path> AdaptCorpusFiles() {
-  std::vector<std::filesystem::path> files;
-  const std::filesystem::path dir =
-      std::filesystem::path(TABLEAU_REPRO_DIR) / "adapt";
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".txt") {
-      files.push_back(entry.path());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
-TEST(AdaptReproCorpus, HasSeedScenarios) {
-  EXPECT_GE(AdaptCorpusFiles().size(), 2u);
-}
-
-TEST(AdaptReproCorpus, EveryReproducerReplaysClean) {
-  const std::vector<std::filesystem::path> files = AdaptCorpusFiles();
-  ASSERT_FALSE(files.empty());
-  for (const std::filesystem::path& path : files) {
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << path;
-    std::ostringstream text;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty() && line[0] == '#') {
-        continue;  // Leading comment records the pinned regime / violation.
-      }
-      text << line << "\n";
-    }
-    const auto spec = ParseAdaptSpec(text.str());
-    ASSERT_TRUE(spec.has_value()) << path << ": malformed reproducer";
-    const AdaptCheckOutcome outcome = RunAdaptScenario(*spec);
-    EXPECT_TRUE(outcome.violations.empty())
-        << path << ": " << outcome.violations.front();
-  }
+  EXPECT_EQ(Format(result.spec), Format(spec));
 }
 
 }  // namespace

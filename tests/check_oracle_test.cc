@@ -11,7 +11,7 @@
 
 #include <cstdint>
 
-#include "src/check/scenario_fuzz.h"
+#include "src/check/scenario.h"
 #include "src/schedulers/factory.h"
 
 namespace tableau::check {
@@ -29,7 +29,7 @@ TEST_P(OracleSweep, ThousandFuzzedScenariosNoDivergence) {
   // scheduler; the bound on seeds is a safety net, not a target.
   for (std::uint64_t seed = 0; ran < kScenariosPerScheduler && seed < 100000;
        ++seed) {
-    const ScenarioSpec spec = GenerateSpec(seed);
+    const ScenarioSpec spec = Generate<ScenarioSpec>(seed);
     if (spec.scheduler != kind) {
       continue;
     }
@@ -37,7 +37,7 @@ TEST_P(OracleSweep, ThousandFuzzedScenariosNoDivergence) {
     ASSERT_TRUE(outcome.violations.empty())
         << "seed " << seed << ": " << outcome.violations.front()
         << "\nreproducer:\n"
-        << FormatSpec(spec);
+        << Format(spec);
     total_records += outcome.records;
     ++ran;
   }

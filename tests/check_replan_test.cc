@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "src/check/scenario_fuzz.h"
+#include "src/check/scenario.h"
 #include "src/check/table_verifier.h"
 #include "src/core/replan.h"
 #include "src/faults/fault_injector.h"
@@ -108,7 +108,7 @@ TEST(ReplanBackoff, SuccessAfterFailuresInstallsAVerifiedTable) {
 TEST(ReplanFuzz, DegradedReplanRunsStayClean) {
   int ran = 0;
   for (std::uint64_t seed = 0; ran < 60 && seed < 4000; ++seed) {
-    ScenarioSpec spec = GenerateSpec(seed);
+    ScenarioSpec spec = Generate<ScenarioSpec>(seed);
     if (spec.scheduler != SchedKind::kTableau) {
       continue;
     }
@@ -118,7 +118,7 @@ TEST(ReplanFuzz, DegradedReplanRunsStayClean) {
     ASSERT_TRUE(outcome.violations.empty())
         << "seed " << seed << ": " << outcome.violations.front()
         << "\nreproducer:\n"
-        << FormatSpec(spec);
+        << Format(spec);
     ++ran;
   }
   EXPECT_EQ(ran, 60);
@@ -127,7 +127,7 @@ TEST(ReplanFuzz, DegradedReplanRunsStayClean) {
 TEST(ReplanFuzz, TightSlipToleranceUnderHeavyFaultsStaysClean) {
   int ran = 0;
   for (std::uint64_t seed = 0; ran < 60 && seed < 4000; ++seed) {
-    ScenarioSpec spec = GenerateSpec(seed);
+    ScenarioSpec spec = Generate<ScenarioSpec>(seed);
     if (spec.scheduler != SchedKind::kTableau) {
       continue;
     }
@@ -141,7 +141,7 @@ TEST(ReplanFuzz, TightSlipToleranceUnderHeavyFaultsStaysClean) {
     ASSERT_TRUE(outcome.violations.empty())
         << "seed " << seed << ": " << outcome.violations.front()
         << "\nreproducer:\n"
-        << FormatSpec(spec);
+        << Format(spec);
     ++ran;
   }
   EXPECT_EQ(ran, 60);

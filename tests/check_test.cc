@@ -4,12 +4,16 @@
 // and the shrinker reducing a mutant reproducer to a handful of vCPUs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/check/mutants.h"
 #include "src/check/oracles.h"
-#include "src/check/scenario_fuzz.h"
+#include "src/check/scenario.h"
 #include "src/check/table_verifier.h"
 #include "src/core/planner.h"
 #include "src/table/scheduling_table.h"
@@ -149,6 +153,40 @@ TEST(TableVerifier, SubThresholdSurvivorIsCaught) {
   EXPECT_TRUE(AnyContains(violations, "sub-threshold"));
 }
 
+TEST(TableVerifier, DonationBudgetCountsFramesOfTheCoreCluster) {
+  // vCPU 0 (C = 60 ms, T = 100 ms) claims 30 ms donated: over the two
+  // slivers its one period window allows at a 5 ms threshold, but within the
+  // two per frame that vCPU 1's 20 ms periods cut on the same pCPU.
+  const TimeNs ms = kMillisecond;
+  std::vector<Allocation> vcpu0 = {{0, 10 * ms, 20 * ms}, {0, 30 * ms, 40 * ms},
+                                   {0, 50 * ms, 60 * ms}};
+  std::vector<Allocation> vcpu1;
+  for (int k = 0; k < 5; ++k) {
+    vcpu1.push_back(Allocation{1, k * 20 * ms, k * 20 * ms + 10 * ms});
+  }
+  const std::vector<VcpuContract> contracts = {
+      VcpuContract{0, 60 * ms, 100 * ms, false, false, 30 * ms},
+      VcpuContract{1, 10 * ms, 20 * ms, false, false, 0},
+  };
+  VerifyOptions options = NoHyperperiodCheck();
+  options.coalesce_threshold = 5 * ms;
+
+  std::vector<std::vector<Allocation>> shared(1);
+  shared[0] = vcpu0;
+  shared[0].insert(shared[0].end(), vcpu1.begin(), vcpu1.end());
+  std::sort(shared[0].begin(), shared[0].end(),
+            [](const Allocation& a, const Allocation& b) { return a.start < b.start; });
+  const std::vector<std::string> clean =
+      VerifyTable(SchedulingTable::Build(100 * ms, std::move(shared)), contracts, options);
+  EXPECT_TRUE(clean.empty()) << clean.front();
+
+  // On its own pCPU nothing cuts vCPU 0's window: the budget is 10 ms.
+  const std::vector<std::string> apart = VerifyTable(
+      SchedulingTable::Build(100 * ms, {vcpu0, vcpu1}), contracts, options);
+  EXPECT_TRUE(AnyContains(apart, "donation exceeds the coalescing sliver budget for vcpu 0: "
+                                 "30000000 vs bound 10000000"));
+}
+
 TEST(TableVerifier, EveryPlannedTableVerifies) {
   // Planner-produced tables across the pipeline stages must satisfy their
   // own claimed contracts.
@@ -196,16 +234,19 @@ TEST(TableVerifier, TinyBudgetReservationIsRejectedAtAdmission) {
 }
 
 TEST(ScenarioSpec, FormatParseRoundTrip) {
-  const ScenarioSpec spec = GenerateSpec(7);
-  const std::string text = FormatSpec(spec);
-  const auto parsed = ParseSpec(text);
+  const ScenarioSpec spec = Generate<ScenarioSpec>(7);
+  const std::string text = Format(spec);
+  const auto parsed = Parse(text);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(FormatSpec(*parsed), text);
+  ASSERT_TRUE(std::holds_alternative<ScenarioSpec>(*parsed));
+  EXPECT_EQ(Format(std::get<ScenarioSpec>(*parsed)), text);
+  // Leading '#' comments (a reproducer's recorded violation) are skipped.
+  EXPECT_TRUE(Parse("# seed 7: plan: blackout\n" + text).has_value());
 }
 
 TEST(ScenarioSpec, GeneratedSpecsAreFeasible) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
-    EXPECT_TRUE(FeasibleSpec(GenerateSpec(seed))) << "seed " << seed;
+    EXPECT_TRUE(FeasibleSpec(Generate<ScenarioSpec>(seed))) << "seed " << seed;
   }
 }
 
@@ -220,31 +261,124 @@ std::string WithValue(const std::string& text, const std::string& key,
 TEST(ScenarioSpec, ParseRejectsMalformedNumbers) {
   // Every value is parsed whole: a numeric prefix followed by garbage is not
   // the number, and a flag is 0 or 1.
-  const std::string text = FormatSpec(GenerateSpec(7));
-  ASSERT_TRUE(ParseSpec(text).has_value());
-  EXPECT_FALSE(ParseSpec(WithValue(text, "seed", "12abc")).has_value());
-  EXPECT_FALSE(ParseSpec(WithValue(text, "guest_cpus", "4x")).has_value());
-  EXPECT_FALSE(ParseSpec(WithValue(text, "duration_ns", "")).has_value());
-  EXPECT_FALSE(ParseSpec(WithValue(text, "fault_intensity", "0.5zz")).has_value());
-  EXPECT_FALSE(ParseSpec(WithValue(text, "capped", "yes")).has_value());
-  EXPECT_FALSE(ParseSpec(WithValue(text, "vm", "vcpus:1 util:0.25 latency_ns:20000000 "
-                                                "workload:hog gang:1x"))
+  const std::string text = Format(Generate<ScenarioSpec>(7));
+  ASSERT_TRUE(Parse(text).has_value());
+  EXPECT_FALSE(Parse(WithValue(text, "seed", "12abc")).has_value());
+  EXPECT_FALSE(Parse(WithValue(text, "guest_cpus", "4x")).has_value());
+  EXPECT_FALSE(Parse(WithValue(text, "duration_ns", "")).has_value());
+  EXPECT_FALSE(Parse(WithValue(text, "fault_intensity", "0.5zz")).has_value());
+  EXPECT_FALSE(Parse(WithValue(text, "capped", "yes")).has_value());
+  const std::string vm = "vcpus:1 util:0.25 latency_ns:20000000 workload:hog ";
+  EXPECT_FALSE(Parse(WithValue(text, "vm", vm + "gang:1x")).has_value());
+  EXPECT_TRUE(Parse(WithValue(text, "vm", vm + "gang:1")).has_value());
+  // The vm= line goes through the same whole-string parsers: no NaN or
+  // infinite share, no count that overflows an int, and a flag is 0 or 1.
+  EXPECT_FALSE(Parse(WithValue(text, "vm", "vcpus:1 util:nan latency_ns:20000000 "
+                                           "workload:hog gang:0"))
                    .has_value());
-  EXPECT_TRUE(ParseSpec(WithValue(text, "vm", "vcpus:1 util:0.25 latency_ns:20000000 "
-                                               "workload:hog gang:1"))
-                  .has_value());
+  EXPECT_FALSE(Parse(WithValue(text, "vm", "vcpus:1 util:inf latency_ns:20000000 "
+                                           "workload:hog gang:0"))
+                   .has_value());
+  EXPECT_FALSE(Parse(WithValue(text, "vm", "vcpus:99999999999 util:0.25 "
+                                           "latency_ns:20000000 workload:hog gang:0"))
+                   .has_value());
+  EXPECT_FALSE(Parse(WithValue(text, "vm", vm + "gang:7")).has_value());
+  // Every field exactly once: none missing, none repeated, none unknown.
+  EXPECT_FALSE(Parse(WithValue(text, "vm", vm)).has_value());
+  EXPECT_FALSE(Parse(WithValue(text, "vm", vm + "gang:0 gang:0")).has_value());
+  EXPECT_FALSE(Parse(WithValue(text, "vm", vm + "gang:0 color:red")).has_value());
+}
+
+TEST(ScenarioSpec, ParseRejectsHostileSizes) {
+  // Each count and duration has a ceiling (scenario.cc): the ceiling itself
+  // parses, one past it does not.
+  const std::string host = Format(Generate<ScenarioSpec>(7));
+  const std::string vm = "vcpus:1 util:0.25 latency_ns:20000000 workload:hog gang:0";
+  for (const auto& [key, ok, bad] : std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"guest_cpus", "16", "17"},
+           {"duration_ns", "1000000000", "1000000001"},
+           {"replan_at_ns", "1000000000", "1000000001"},
+           {"vm", "vcpus:8 util:1 latency_ns:1000000000 workload:hog gang:0",
+            "vcpus:9 util:0.25 latency_ns:20000000 workload:hog gang:0"},
+           {"vm", vm, "vcpus:1 util:1.5 latency_ns:20000000 workload:hog gang:0"},
+           {"vm", vm, "vcpus:1 util:0.25 latency_ns:1000000001 workload:hog gang:0"}}) {
+    EXPECT_TRUE(Parse(WithValue(host, key, ok)).has_value()) << key << "=" << ok;
+    EXPECT_FALSE(Parse(WithValue(host, key, bad)).has_value()) << key << "=" << bad;
+  }
+  std::string vms = "tableau-repro v1\n";
+  for (int i = 0; i < 16; ++i) {
+    vms += "vm=" + vm + "\n";
+  }
+  EXPECT_TRUE(Parse(vms).has_value());
+  EXPECT_FALSE(Parse(vms + "vm=" + vm + "\n").has_value());
+
+  const std::string adapt = Format(Generate<AdaptScenarioSpec>(7));
+  for (const auto& [key, ok, bad] : std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"num_cpus", "64", "65"},
+           {"slots_per_core", "8", "9"},
+           {"windows", "1024", "1025"},
+           {"window_ns", "1000000000", "1000000001"},
+           {"predictor_history", "1024", "2147483647"},
+           {"cooldown_windows", "1024", "2147483647"}}) {
+    EXPECT_TRUE(Parse(WithValue(adapt, key, ok)).has_value()) << key << "=" << ok;
+    EXPECT_FALSE(Parse(WithValue(adapt, key, bad)).has_value()) << key << "=" << bad;
+  }
+  const auto demand = [](int n) {
+    std::string list = "0.5";
+    for (int i = 1; i < n; ++i) {
+      list += ",x";
+    }
+    return "tableau-adapt-repro v1\nvm=init:0.25 latency_ns:20000000 demand:" + list + "\n";
+  };
+  EXPECT_TRUE(Parse(demand(1024)).has_value());
+  EXPECT_FALSE(Parse(demand(1025)).has_value());
 }
 
 TEST(ScenarioSpec, ParseRejectsGarbage) {
-  EXPECT_FALSE(ParseSpec("not a repro").has_value());
-  EXPECT_FALSE(ParseSpec("tableau-repro v1\nbogus_key=1\n").has_value());
-  EXPECT_FALSE(ParseSpec("tableau-repro v1\nseed=1\n").has_value());  // No VMs.
+  EXPECT_FALSE(Parse("not a repro").has_value());
+  EXPECT_FALSE(Parse("tableau-repro v1\nbogus_key=1\n").has_value());
+  EXPECT_FALSE(Parse("tableau-repro v1\nseed=1\n").has_value());  // No VMs.
+}
+
+// The category rule buckets adapt violations as the adapt family always
+// did (by the word before the first ':'): every message shape
+// RunCheckedScenario(AdaptScenarioSpec) emits keeps "<kind>: w=" whatever
+// its numbers, and no two kinds share a bucket.
+TEST(ScenarioSpec, CategoryKeepsEveryAdaptBucket) {
+  const std::vector<std::pair<std::string, std::vector<std::string>>> shapes = {
+      {"nodata", {"nodata: w=3 vm 0 resized on a window with no data",
+                  "nodata: w=17 vm 5 resized on a window with no data"}},
+      {"verify", {"verify: w=2 blackout exceeds 2(T - C) for vcpu 1: 9 vs 4",
+                  "verify: w=40 vcpu 3 window supply short"}},
+      {"cooldown", {"cooldown: w=9 vm 1 committed after 2 data windows (< 5)",
+                    "cooldown: w=31 vm 0 committed after 0 data windows (< 2)"}},
+      {"deadband", {"deadband: w=4 vm 0 grew 0.25->0.2578125 inside the grow deadband",
+                    "deadband: w=8 vm 2 shrank 0.5->0.46875 inside the shrink deadband"}},
+      {"floor", {"floor: w=12 vm 1 shrank to 0.125 below the observed p99 demand 0.5"}},
+      {"clamp", {"clamp: w=6 vm 0 committed 1.0625 outside [0.03125, 1]"}},
+  };
+  std::vector<std::string> buckets;
+  for (const auto& [kind, messages] : shapes) {
+    for (const std::string& message : messages) {
+      EXPECT_EQ(CategoryOf({message}), kind + ": w=") << message;
+    }
+    buckets.push_back(CategoryOf({messages.front()}));
+  }
+  std::sort(buckets.begin(), buckets.end());
+  EXPECT_EQ(std::unique(buckets.begin(), buckets.end()), buckets.end());
+  // The one message without numbers, from a spec the host cannot build.
+  AdaptScenarioSpec unbuildable = Generate<AdaptScenarioSpec>(7);
+  unbuildable.num_cpus = 0;
+  const CheckOutcome outcome = RunCheckedScenario(unbuildable);
+  ASSERT_EQ(outcome.violations.size(), 1u);
+  EXPECT_EQ(CategoryOf(outcome.violations), outcome.violations.front());
+  EXPECT_EQ(outcome.violations.front().rfind("spec:", 0), 0u);
 }
 
 // A Tableau scenario with a planted mutant: the oracles must notice, the
 // clean run must not, and the shrinker must cut the reproducer down.
 ScenarioSpec MutantSpec(MutantKind mutant) {
-  ScenarioSpec spec = GenerateSpec(1);
+  ScenarioSpec spec = Generate<ScenarioSpec>(1);
   spec.scheduler = SchedKind::kTableau;
   spec.capped = true;
   spec.replan_at = 0;
@@ -278,7 +412,7 @@ TEST(Shrink, MutantReproducerShrinksToFewVcpus) {
   const CheckOutcome outcome = RunCheckedScenario(spec);
   ASSERT_FALSE(outcome.violations.empty());
   const std::string category = CategoryOf(outcome.violations);
-  const ShrinkResult shrunk = Shrink(spec, category);
+  const ShrinkResult<ScenarioSpec> shrunk = Shrink(spec, category);
   // The shrunk spec still reproduces the same violation category...
   const CheckOutcome replay = RunCheckedScenario(shrunk.spec);
   EXPECT_EQ(CategoryOf(replay.violations), category);

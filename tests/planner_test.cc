@@ -167,6 +167,24 @@ TEST(Planner, SemiPartitioningEngagesForUnpartitionableLoad) {
   }
 }
 
+TEST(Planner, CoalescingNeverStretchesASplitVcpuAcrossCores) {
+  // A C=D plan whose EDF schedule leaves a sub-threshold sliver right after
+  // a split vCPU's piece: donating the sliver to that piece would overlap
+  // the vCPU's piece on the other core (the planner's self-check aborted).
+  PlannerConfig config;
+  config.num_cpus = 2;
+  const Planner planner(config);
+  const PlanResult plan = planner.Solve(PlanRequest::Full({
+      VcpuRequest{0, 0.75, 50 * kMillisecond},
+      VcpuRequest{1, 0.09375, 20 * kMillisecond},
+      VcpuRequest{2, 0.5, 10 * kMillisecond},
+      VcpuRequest{3, 0.625, 50 * kMillisecond},
+  }));
+  ASSERT_TRUE(plan.success) << plan.error;
+  EXPECT_EQ(plan.method, PlanMethod::kSemiPartitioned);
+  EXPECT_EQ(plan.table.Validate(), "");
+}
+
 TEST(Planner, SemiPartitionedLatencyStillBounded) {
   PlannerConfig config;
   config.num_cpus = 2;

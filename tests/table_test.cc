@@ -747,6 +747,28 @@ TEST(Coalesce, AbsorbsSubThresholdIntoPredecessor) {
   EXPECT_EQ(donated[0].second, 20);
 }
 
+TEST(Coalesce, SliverIsNotDonatedToASplitVcpuRunningElsewhere) {
+  // vCPU 0 runs on both pCPUs; on pCPU 1 it holds [105, 200), so stretching
+  // its pCPU 0 piece over the [100, 120) sliver would run it twice at once.
+  const std::vector<std::vector<Allocation>> per_cpu = {
+      {{0, 0, 100}, {1, 100, 120}, {2, 120, 220}},
+      {{0, 105, 200}},
+  };
+  std::vector<std::pair<VcpuId, TimeNs>> donated;
+  const auto result = CoalesceAllocations(per_cpu, 50, &donated);
+  ASSERT_EQ(result[0].size(), 2u);
+  EXPECT_EQ(result[0][0], (Allocation{0, 0, 100}));  // The sliver stays idle.
+  EXPECT_EQ(result[0][1], (Allocation{2, 120, 220}));
+  EXPECT_EQ(result[1], per_cpu[1]);
+  ASSERT_EQ(donated.size(), 1u);
+  EXPECT_EQ(donated[0], (std::pair<VcpuId, TimeNs>{1, 20}));
+  // Where the split vCPU's other piece does not overlap the sliver, the
+  // sliver is donated as usual.
+  std::vector<std::vector<Allocation>> apart = per_cpu;
+  apart[1] = {{0, 130, 200}};
+  EXPECT_EQ(CoalesceAllocations(apart, 50, nullptr)[0][0], (Allocation{0, 0, 120}));
+}
+
 TEST(Coalesce, IsolatedSliverBecomesIdle) {
   std::vector<std::vector<Allocation>> per_cpu(1);
   per_cpu[0] = {{0, 0, 100}, {1, 150, 170}};  // Isolated 20ns sliver.

@@ -20,16 +20,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
-#include "src/check/adapt_fuzz.h"
 #include "src/check/mutants.h"
-#include "src/check/scenario_fuzz.h"
+#include "src/check/scenario.h"
 #include "src/common/parse.h"
 #include "src/core/planner.h"
 #include "src/harness/fleet_scenario.h"
@@ -782,94 +784,99 @@ int CmdCluster(Options& options) {
 
 // --- check ------------------------------------------------------------------
 
-void PrintOutcome(const check::ScenarioSpec& spec, const check::CheckOutcome& outcome) {
-  std::printf("scheduler=%s vcpus=%d duration=%lld ms records=%llu violations=%zu\n",
-              SchedKindName(spec.scheduler), spec.TotalVcpus(),
-              static_cast<long long>(spec.duration / kMillisecond),
-              static_cast<unsigned long long>(outcome.records), outcome.violations.size());
+// The family's summary line, then one line per resize and per violation.
+template <class Spec>
+void PrintReport(const Spec& spec, const check::CheckOutcome& outcome) {
+  if constexpr (std::is_same_v<Spec, check::ScenarioSpec>) {
+    std::printf("scheduler=%s vcpus=%d duration=%lld ms records=%llu violations=%zu\n",
+                SchedKindName(spec.scheduler), spec.TotalVcpus(),
+                static_cast<long long>(spec.duration / kMillisecond),
+                static_cast<unsigned long long>(outcome.records), outcome.violations.size());
+  } else {
+    std::printf("adapt: %d resizes, %zu violations\n", outcome.resizes,
+                outcome.violations.size());
+  }
+  for (const std::string& entry : outcome.resize_log) {
+    std::printf("  resize %s\n", entry.c_str());
+  }
   for (const std::string& violation : outcome.violations) {
     std::printf("  violation: %s\n", violation.c_str());
   }
 }
 
-int FuzzCommand(const Options& options) {
-  int failures = 0;
-  for (std::uint64_t seed = options.seeds_begin; seed < options.seeds_end; ++seed) {
-    const check::ScenarioSpec spec = check::GenerateSpec(seed);
-    const check::CheckOutcome outcome = check::RunCheckedScenario(spec);
-    if (outcome.violations.empty()) {
-      continue;
-    }
-    ++failures;
-    std::printf("seed %llu: %zu violation(s), first: %s\n",
-                static_cast<unsigned long long>(seed), outcome.violations.size(),
-                outcome.violations.front().c_str());
-    check::ScenarioSpec repro = spec;
-    if (options.shrink) {
-      const check::ShrinkResult shrunk =
-          check::Shrink(spec, check::CategoryOf(outcome.violations));
-      repro = shrunk.spec;
-      std::printf("  shrunk to %d vCPU(s) in %d run(s)\n", repro.TotalVcpus(), shrunk.runs);
-    }
-    if (options.repro_dir.empty()) {
-      std::printf("%s", check::FormatSpec(repro).c_str());
-      continue;
-    }
-    WriteFile(options.repro_dir + "/seed" + std::to_string(seed) + ".txt",
-              "# " + outcome.violations.front() + "\n" + check::FormatSpec(repro));
+// Runs the seed's spec of one family. A failure is reported (shrunk when
+// asked) and its reproducer printed, or written to --repro-dir as
+// seed<N><suffix>.txt. Returns 1 on a failure.
+template <class Spec>
+int FuzzSeed(const Options& options, std::uint64_t seed, const char* suffix) {
+  const Spec spec = check::Generate<Spec>(seed);
+  const check::CheckOutcome outcome = check::RunCheckedScenario(spec);
+  if (outcome.violations.empty()) {
+    return 0;
   }
-  std::printf("fuzz: %llu seed(s), %d failing\n",
-              static_cast<unsigned long long>(options.seeds_end - options.seeds_begin),
-              failures);
-  return failures == 0 ? 0 : 1;
+  std::printf("seed %llu%s: %zu violation(s), first: %s\n",
+              static_cast<unsigned long long>(seed), suffix, outcome.violations.size(),
+              outcome.violations.front().c_str());
+  Spec repro = spec;
+  if (options.shrink) {
+    const check::ShrinkResult<Spec> shrunk =
+        check::Shrink(spec, check::CategoryOf(outcome.violations));
+    repro = shrunk.spec;
+    std::printf("  shrunk to %d vCPU(s) in %d run(s)\n", repro.TotalVcpus(), shrunk.runs);
+  }
+  if (options.repro_dir.empty()) {
+    std::printf("%s", check::Format(repro).c_str());
+  } else {
+    WriteFile(options.repro_dir + "/seed" + std::to_string(seed) + suffix + ".txt",
+              "# " + outcome.violations.front() + "\n" + check::Format(repro));
+  }
+  return 1;
 }
 
-// Replays one reproducer; the header line after the leading '#' comments
-// picks the format. Returns the violation count, or -1 if unreadable.
+// Every seed draws one spec of each family.
+int FuzzCommand(const Options& options) {
+  if (!options.repro_dir.empty()) {
+    std::error_code ignored;  // WriteFile reports a directory it cannot write to.
+    std::filesystem::create_directories(options.repro_dir, ignored);
+  }
+  int host = 0;
+  int adapt = 0;
+  for (std::uint64_t seed = options.seeds_begin; seed < options.seeds_end; ++seed) {
+    host += FuzzSeed<check::ScenarioSpec>(options, seed, "");
+    adapt += FuzzSeed<check::AdaptScenarioSpec>(options, seed, "-adapt");
+  }
+  std::printf("fuzz: %llu seed(s) x 2 families, %d failing (host %d, adapt %d)\n",
+              static_cast<unsigned long long>(options.seeds_end - options.seeds_begin),
+              host + adapt, host, adapt);
+  return host + adapt == 0 ? 0 : 1;
+}
+
+// Replays one reproducer of either family. Returns the violation count, or
+// -1 if the file is unreadable or malformed.
 int ReplayFile(const std::string& path) {
-  const std::optional<std::string> contents = ReadFile(path);
-  if (!contents.has_value()) {
+  const std::optional<std::string> text = ReadFile(path);
+  if (!text.has_value()) {
     return -1;
   }
-  std::istringstream in(*contents);
-  std::string text;
-  for (std::string line; std::getline(in, line);) {
-    if (line.empty() || line[0] != '#') {
-      text += line + "\n";
-    }
-  }
   std::printf("replay %s:\n", path.c_str());
-  if (text.rfind("tableau-adapt-repro v1\n", 0) == 0) {
-    const std::optional<check::AdaptScenarioSpec> spec = check::ParseAdaptSpec(text);
-    if (!spec.has_value()) {
-      std::fprintf(stderr, "%s: malformed reproducer\n", path.c_str());
-      return -1;
-    }
-    const check::AdaptCheckOutcome outcome = check::RunAdaptScenario(*spec);
-    std::printf("adapt: %d resizes, %zu violations\n", outcome.resizes,
-                outcome.violations.size());
-    for (const std::string& entry : outcome.resize_log) {
-      std::printf("  resize %s\n", entry.c_str());
-    }
-    for (const std::string& violation : outcome.violations) {
-      std::printf("  violation: %s\n", violation.c_str());
-    }
-    return static_cast<int>(outcome.violations.size());
-  }
-  const std::optional<check::ScenarioSpec> spec = check::ParseSpec(text);
+  const std::optional<check::AnySpec> spec = check::Parse(*text);
   if (!spec.has_value()) {
     std::fprintf(stderr, "%s: malformed reproducer\n", path.c_str());
     return -1;
   }
-  const check::CheckOutcome outcome = check::RunCheckedScenario(*spec);
-  PrintOutcome(*spec, outcome);
-  return static_cast<int>(outcome.violations.size());
+  return std::visit(
+      [](const auto& family_spec) {
+        const check::CheckOutcome outcome = check::RunCheckedScenario(family_spec);
+        PrintReport(family_spec, outcome);
+        return static_cast<int>(outcome.violations.size());
+      },
+      *spec);
 }
 
 // Plants each mutant into a Tableau scenario and demands the oracles notice:
 // a verification subsystem that can't catch a planted bug proves nothing.
 int SelftestCommand() {
-  check::ScenarioSpec spec = check::GenerateSpec(1);
+  auto spec = check::Generate<check::ScenarioSpec>(1);
   spec.scheduler = SchedKind::kTableau;
   spec.capped = true;
   spec.replan_at = 0;
@@ -902,10 +909,10 @@ int CmdCheck(Options& options) {
   const std::string action = options.args.empty() ? "" : options.args[0];
   const std::size_t operands = options.args.size() - (action.empty() ? 0 : 1);
   if (action == "run" && operands == 0) {
-    const check::ScenarioSpec spec = check::GenerateSpec(options.seed);
-    std::printf("%s", check::FormatSpec(spec).c_str());
+    const auto spec = check::Generate<check::ScenarioSpec>(options.seed);
+    std::printf("%s", check::Format(spec).c_str());
     const check::CheckOutcome outcome = check::RunCheckedScenario(spec);
-    PrintOutcome(spec, outcome);
+    PrintReport(spec, outcome);
     return outcome.violations.empty() ? 0 : 1;
   }
   if (action == "fuzz" && operands == 0 && options.seeds_end > options.seeds_begin) {
