@@ -87,6 +87,8 @@ void TableauDispatcher::BuildIndex() {
   // grouped by vCPU; a vCPU listed by one core keeps its row as it is.
   homes_.clear();
   split_entries_.clear();
+  // Cursors of the old generation are stale and re-seed on first use.
+  cursors_.resize(std::max(cursors_.size(), static_cast<std::size_t>(current_->num_cpus())));
   for (int c = 0; c < current_->num_cpus(); ++c) {
     for (const VcpuId vcpu : current_->cpu(c).local_vcpus) {
       homes_.push_back(VcpuHome{vcpu, c, 0, 0});
@@ -133,14 +135,66 @@ const TableauDispatcher::VcpuHome* TableauDispatcher::FindHome(VcpuId vcpu) cons
   return it != homes_.end() && it->vcpu == vcpu ? &*it : nullptr;
 }
 
+bool TableauDispatcher::Walk(SlotCursor& cursor, TimeNs length, TimeNs now) {
+  TimeNs round = cursor.round;
+  std::int32_t k = cursor.next;
+  if (now - round >= length) {
+    round += length;
+    k = 0;
+    if (now - round >= length) {
+      return false;  // More than one round ahead.
+    }
+  }
+  const TimeNs offset = now - round;
+  // First allocation from k on that ends past the offset: Lookup's answer.
+  const std::int32_t limit = std::min(cursor.count, k + kMaxWalkSteps);
+  while (k < limit && cursor.allocs[k].end <= offset) {
+    ++k;
+  }
+  if (k == limit && k < cursor.count) {
+    return false;  // Too far to walk.
+  }
+  cursor.from = now;
+  cursor.round = round;
+  if (k == cursor.count) {
+    cursor.vcpu = kIdleVcpu;  // Idle to the end of the round.
+    cursor.end = round + length;
+  } else {
+    // Served by allocation k, or idle up to its start; a select, not a
+    // branch, since slot ends alternate between the two unpredictably.
+    const Allocation& alloc = cursor.allocs[k];
+    const bool served = alloc.start <= offset;
+    cursor.vcpu = served ? alloc.vcpu : kIdleVcpu;
+    cursor.end = round + (served ? alloc.end : alloc.start);
+    k += static_cast<std::int32_t>(served);
+  }
+  cursor.next = k;
+  return true;
+}
+
 TableauDispatcher::SlotInfo TableauDispatcher::LookupSlot(int cpu, TimeNs now) {
   const SchedulingTable& table = ActiveTable(now);
-  const TimeNs len = table.length();
-  const TimeNs offset = now % len;
-  const LookupResult lookup = table.Lookup(cpu, offset);
+  SlotCursor& cursor = cursors_[static_cast<std::size_t>(cpu)];
+  // Hit: the cached interval covers `now`. Walk: `now` is past it, on the
+  // same table. Anything else (a promotion, a backward `now`, a jump too far
+  // to walk) re-seeds the cursor from the slice lookup.
+  if (cursor.generation != generation_ || now < cursor.from ||
+      (now >= cursor.end && !Walk(cursor, table.length(), now))) {
+    const TimeNs offset = now % table.length();
+    const LookupResult lookup = table.Lookup(cpu, offset);
+    const std::vector<Allocation>& allocs = table.cpu(cpu).allocations;
+    cursor = SlotCursor{generation_,
+                        now,
+                        now - offset + lookup.interval_end,
+                        now - offset,
+                        allocs.data(),
+                        static_cast<std::int32_t>(allocs.size()),
+                        lookup.next,
+                        lookup.vcpu};
+  }
   SlotInfo slot;
-  slot.vcpu = lookup.vcpu;
-  slot.slot_end = now - offset + lookup.interval_end;
+  slot.vcpu = cursor.vcpu;
+  slot.slot_end = cursor.end;
   if (next_ != nullptr && switch_at_ > now) {
     slot.slot_end = std::min(slot.slot_end, switch_at_);
   }

@@ -75,7 +75,9 @@ class TableauDispatcher {
 
   // First-level lookup: the reserved vCPU (or kIdleVcpu) covering `now` on
   // `cpu` and the absolute end of the current interval (clamped to a pending
-  // table switch). O(1) via the slice table.
+  // table switch). Always SchedulingTable::Lookup's answer at now % length,
+  // served from the core's slot cursor: a cached interval, a short forward
+  // walk of the allocation list, or the O(1) slice lookup (see SlotCursor).
   struct SlotInfo {
     VcpuId vcpu = kIdleVcpu;
     TimeNs slot_end = 0;
@@ -149,6 +151,32 @@ class TableauDispatcher {
     std::map<VcpuId, TimeNs> budgets;
   };
 
+  // A core's last first-level answer. For table `generation` the answer
+  // (vcpu, end) holds at every instant of [from, end): Lookup is constant up
+  // to an interval end. `round` is the absolute start of the table round
+  // that holds `end`, and every allocation before `next` ends at or before
+  // end - round. So a later `now` first needs only the allocations from
+  // `next` on (the walk tier of LookupSlot). `allocs` and `count` describe
+  // the core's allocation list in the active table, which lives as long as
+  // the generation, so a walk reads no table header.
+  struct SlotCursor {
+    std::uint64_t generation = 0;  // 0: never seeded (tables start at 1).
+    TimeNs from = 0;
+    TimeNs end = 0;
+    TimeNs round = 0;
+    const Allocation* allocs = nullptr;
+    std::int32_t count = 0;
+    std::int32_t next = 0;
+    VcpuId vcpu = kIdleVcpu;
+  };
+
+  // Walk tier: moves `cursor` (current generation, now >= cursor.end)
+  // forward to the interval covering `now`, wrapping into the next round at
+  // most once and passing at most kMaxWalkSteps allocations. Returns false,
+  // leaving the cursor unchanged, when `now` lies beyond that reach.
+  static bool Walk(SlotCursor& cursor, TimeNs length, TimeNs now);
+  static constexpr std::int32_t kMaxWalkSteps = 8;
+
   // Rebuilds homes_ and split_entries_ for current_ from each core's
   // local_vcpus: O(sum of |local_vcpus| + allocations on the cores of split
   // vCPUs), reusing the vectors' capacity.
@@ -169,6 +197,7 @@ class TableauDispatcher {
   std::vector<VcpuHome> homes_;
   std::vector<std::pair<TimeNs, int>> split_entries_;
   std::vector<SecondLevelState> second_level_;
+  std::vector<SlotCursor> cursors_;  // One per pCPU of the active table.
 
   obs::Counter* m_table_switches_ = nullptr;
   obs::Counter* m_switch_rearms_ = nullptr;

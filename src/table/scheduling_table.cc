@@ -157,7 +157,7 @@ LookupResult SchedulingTable::Lookup(int cpu_index, TimeNs offset) const {
   TABLEAU_CHECK(offset >= 0 && offset < length_);
   const CpuTable& cpu = *cpus_[static_cast<std::size_t>(cpu_index)];
   if (cpu.allocations.empty()) {
-    return LookupResult{kIdleVcpu, length_};
+    return LookupResult{kIdleVcpu, 0, length_};
   }
   const auto slice_index =
       cpu.slice_shift >= 0
@@ -175,24 +175,28 @@ LookupResult SchedulingTable::Lookup(int cpu_index, TimeNs offset) const {
     // Rare: both candidates end inside the slice and the offset is past them.
     // By the slice invariant the next allocation starts at or after the slice
     // end (sentinel start == length_ when there is none).
-    return LookupResult{kIdleVcpu, cpu.alloc_start[k + 1]};
+    return LookupResult{kIdleVcpu, static_cast<std::int32_t>(k + 1), cpu.alloc_start[k + 1]};
   }
   const bool served = offset >= a_start;
-  return LookupResult{served ? cpu.alloc_vcpu[k] : kIdleVcpu, served ? a_end : a_start};
+  return LookupResult{served ? cpu.alloc_vcpu[k] : kIdleVcpu,
+                      static_cast<std::int32_t>(k + static_cast<std::size_t>(served)),
+                      served ? a_end : a_start};
 }
 
 LookupResult SchedulingTable::LookupLinear(int cpu_index, TimeNs offset) const {
   TABLEAU_CHECK(offset >= 0 && offset < length_);
   const CpuTable& cpu = *cpus_[static_cast<std::size_t>(cpu_index)];
-  for (const Allocation& alloc : cpu.allocations) {
+  const auto n = static_cast<std::int32_t>(cpu.allocations.size());
+  for (std::int32_t k = 0; k < n; ++k) {
+    const Allocation& alloc = cpu.allocations[static_cast<std::size_t>(k)];
     if (offset < alloc.start) {
-      return LookupResult{kIdleVcpu, alloc.start};
+      return LookupResult{kIdleVcpu, k, alloc.start};
     }
     if (offset < alloc.end) {
-      return LookupResult{alloc.vcpu, alloc.end};
+      return LookupResult{alloc.vcpu, k + 1, alloc.end};
     }
   }
-  return LookupResult{kIdleVcpu, length_};
+  return LookupResult{kIdleVcpu, n, length_};
 }
 
 std::vector<int> SchedulingTable::CpusOf(VcpuId vcpu) const {

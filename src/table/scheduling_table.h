@@ -57,6 +57,10 @@ struct CpuTable {
 struct LookupResult {
   // vCPU reserved for the current interval, or kIdleVcpu.
   VcpuId vcpu = kIdleVcpu;
+  // Index of the first allocation that starts at or after interval_end
+  // (allocations.size() if none): where a forward walk of the allocation
+  // list resumes (the dispatcher's slot cursor).
+  std::int32_t next = 0;
   // End of the current interval (table-relative offset in (0, length]): the
   // next point at which the dispatcher must re-decide.
   TimeNs interval_end = 0;

@@ -667,5 +667,265 @@ TEST(Dispatcher, IndexMatchesMapTimelinesOnPlannerDeltaStreams) {
   EXPECT_GT(split, 0) << "the C=D plans should split vCPUs";
 }
 
+// Drives one dispatcher with dispatch-like time sequences and checks every
+// LookupSlot answer against a stateless reference: the active table's slice
+// Lookup at now % length, its end clamped to a pending switch. Tables are
+// kept alive here, so a cursor that outlived its generation would still read
+// the old table and answer wrongly rather than crash.
+class CursorProbe {
+ public:
+  CursorProbe(int cpus, TableauDispatcher::Config config, std::uint64_t seed)
+      : dispatcher_(cpus, config), rng_(seed) {}
+
+  std::int64_t checks() const { return checks_; }
+
+  // One LookupSlot at `at` on `cpu`, against the reference.
+  void Check(int cpu, TimeNs at) {
+    const TableauDispatcher::SlotInfo slot = dispatcher_.LookupSlot(cpu, at);
+    const SchedulingTable& table = dispatcher_.ActiveTable(at);
+    const TimeNs offset = at % table.length();
+    const LookupResult want = table.Lookup(cpu, offset);
+    const TimeNs want_end =
+        std::min(at - offset + want.interval_end, dispatcher_.pending_switch_time());
+    ASSERT_EQ(slot.vcpu, want.vcpu) << "cpu " << cpu << " at " << at << " (offset " << offset
+                                    << ", generation " << dispatcher_.table_generation() << ")";
+    ASSERT_EQ(slot.slot_end, want_end) << "cpu " << cpu << " at " << at << " (offset " << offset
+                                       << ", generation " << dispatcher_.table_generation() << ")";
+    ASSERT_TRUE(dispatcher_.InOwnSlot(want.vcpu, cpu, at));  // The wake-up path.
+    ++checks_;
+  }
+
+  // Installs `table` and, if the switch is deferred, probes the old table up
+  // to the switch: slot-end chains that land on the clamp, wake-ups, and
+  // sometimes a re-install (`replacement`, which then wins). The switch is
+  // crossed on time or late by up to a round; with a finite slip tolerance a
+  // late crossing re-arms at the next wrap, which is probed too.
+  void SwitchTo(std::shared_ptr<const SchedulingTable> table,
+                std::shared_ptr<const SchedulingTable> replacement = nullptr) {
+    tables_.push_back(table);
+    dispatcher_.InstallTable(table, now_);
+    if (dispatcher_.pending_switch_time() == kTimeNever) {
+      return;  // The first install takes effect at once.
+    }
+    const int cpus = dispatcher_.ActiveTable(now_).num_cpus();
+    const TimeNs length = dispatcher_.ActiveTable(now_).length();
+    ASSERT_NO_FATAL_FAILURE(Chain(static_cast<int>(rng_.UniformInt(0, cpus - 1)), 64));
+    if (replacement != nullptr) {
+      tables_.push_back(replacement);
+      now_ += rng_.UniformInt(0, length);
+      dispatcher_.InstallTable(replacement, now_);
+    }
+    ASSERT_NO_FATAL_FAILURE(Wakeups(8, dispatcher_.pending_switch_time() - now_));
+    for (int c = 0; c < cpus; ++c) {
+      ASSERT_NO_FATAL_FAILURE(Chain(c, 64));  // Up to the clamp, if in reach.
+    }
+    for (int attempt = 0; attempt < 3 && dispatcher_.pending_switch_time() != kTimeNever;
+         ++attempt) {
+      const TimeNs switch_at = dispatcher_.pending_switch_time();
+      const bool late = attempt < 2 && rng_.UniformInt(0, 1) == 0;  // The last is on time.
+      now_ = std::max(now_, switch_at + (late ? rng_.UniformInt(1, length) : 0));
+      for (int c = 0; c < cpus; ++c) {
+        ASSERT_NO_FATAL_FAILURE(Check(c, now_));
+      }
+    }
+    ASSERT_EQ(dispatcher_.pending_switch_time(), kTimeNever);
+    ASSERT_EQ(&dispatcher_.ActiveTable(now_),
+              (replacement != nullptr ? replacement : table).get());
+  }
+
+  // Every probe sequence on the active table, from the current time on.
+  void ProbeActive() {
+    ASSERT_NO_FATAL_FAILURE(Boundaries());
+    const int cpus = dispatcher_.ActiveTable(now_).num_cpus();
+    for (int c = 0; c < cpus; ++c) {
+      ASSERT_NO_FATAL_FAILURE(Chain(c, 40));
+    }
+    ASSERT_NO_FATAL_FAILURE(Jumps());
+    ASSERT_NO_FATAL_FAILURE(Wakeups(64, dispatcher_.ActiveTable(now_).length()));
+  }
+
+ private:
+  // Monotone: every allocation start and end, +-1, on every core, over two
+  // rounds, in time order across cores.
+  void Boundaries() {
+    const SchedulingTable& table = dispatcher_.ActiveTable(now_);
+    const TimeNs length = table.length();
+    const TimeNs base = (now_ / length + 1) * length;
+    std::vector<std::pair<TimeNs, int>> probes;
+    for (int c = 0; c < table.num_cpus(); ++c) {
+      std::vector<TimeNs> offsets = {0, 1, length - 1};
+      for (const Allocation& alloc : table.cpu(c).allocations) {
+        for (const TimeNs t : {alloc.start, alloc.end}) {
+          offsets.insert(offsets.end(), {t - 1, t, t + 1});
+        }
+      }
+      for (const TimeNs offset : offsets) {
+        if (offset >= 0 && offset < length) {
+          probes.emplace_back(base + offset, c);
+          probes.emplace_back(base + length + offset, c);
+        }
+      }
+    }
+    std::sort(probes.begin(), probes.end());
+    probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+    for (const auto& [at, cpu] : probes) {
+      ASSERT_NO_FATAL_FAILURE(Check(cpu, at));
+    }
+    now_ = probes.empty() ? now_ : probes.back().first;
+  }
+
+  // The slot-end timer: each lookup lands exactly on the previous slot end.
+  void Chain(int cpu, int steps) {
+    TimeNs at = now_;
+    for (int step = 0; step < steps; ++step) {
+      ASSERT_NO_FATAL_FAILURE(Check(cpu, at));
+      const TimeNs end = dispatcher_.LookupSlot(cpu, at).slot_end;
+      if (end == dispatcher_.pending_switch_time()) {
+        break;  // Clamped: the next lookup would promote.
+      }
+      at = end;
+    }
+  }
+
+  // Jumps of 0, 1, a round, more than a round and many rounds, and
+  // backwards by 1, part of a round and more than a round.
+  void Jumps() {
+    const SchedulingTable& table = dispatcher_.ActiveTable(now_);
+    const TimeNs length = table.length();
+    const int cpus = table.num_cpus();
+    for (int cpu = 0; cpu < cpus; ++cpu) {
+      const TimeNs part = rng_.UniformInt(1, length - 1);
+      for (const TimeNs step : {TimeNs{0}, TimeNs{1}, length, length - 1, length + 1,
+                                length + part, 2 * length, 2 * length + part,
+                                7 * length + part, TimeNs{-1}, -part, -length - part,
+                                TimeNs{0}, part}) {
+        now_ = std::max<TimeNs>(0, now_ + step);
+        ASSERT_NO_FATAL_FAILURE(Check(cpu, now_));
+      }
+    }
+  }
+
+  // Seeded wake-ups: a random core, a random instant within `span` ahead
+  // (so mostly inside the slot a core already holds).
+  void Wakeups(int count, TimeNs span) {
+    const int cpus = dispatcher_.ActiveTable(now_).num_cpus();
+    for (int i = 0; i < count; ++i) {
+      const TimeNs at = now_ + rng_.UniformInt(0, std::max<TimeNs>(span - 1, 0) / 16);
+      ASSERT_NO_FATAL_FAILURE(Check(static_cast<int>(rng_.UniformInt(0, cpus - 1)), at));
+      now_ = at;
+    }
+  }
+
+  TableauDispatcher dispatcher_;
+  Rng rng_;
+  TimeNs now_ = 0;
+  std::int64_t checks_ = 0;
+  std::vector<std::shared_ptr<const SchedulingTable>> tables_;
+};
+
+TableauDispatcher::Config SlipTolerance(TimeNs tolerance) {
+  TableauDispatcher::Config config;
+  config.switch_slip_tolerance = tolerance;
+  return config;
+}
+
+// Fuzzed valid tables (split vCPUs, empty cores, both slice geometries),
+// their wire round trips and WithCores streams, promoted one after another,
+// with the slip tolerance off and finite.
+TEST(Dispatcher, SlotCursorMatchesLookupOnFuzzedTables) {
+  Rng rng(6101);
+  std::int64_t checks = 0;
+  for (int round = 0; round < 40; ++round) {
+    const int cpus = static_cast<int>(rng.UniformInt(1, 5));
+    const int vcpus = cpus + static_cast<int>(rng.UniformInt(0, 5));
+    const TimeNs length = rng.UniformInt(2000, 20000);
+    const TimeNs tolerance = round % 2 == 0 ? kTimeNever : rng.UniformInt(0, length / 2);
+    CursorProbe probe(cpus, SlipTolerance(tolerance), 7000 + round);
+    const auto random_table = [&](bool exact) {
+      std::vector<std::vector<Allocation>> per_cpu =
+          RandomSplitAllocations(rng, cpus, vcpus, length);
+      if (rng.UniformInt(0, 2) == 0) {
+        per_cpu[static_cast<std::size_t>(rng.UniformInt(0, cpus - 1))].clear();
+      }
+      return std::make_shared<const SchedulingTable>(
+          exact ? SchedulingTable::BuildWithExactSlices(length, std::move(per_cpu))
+                : SchedulingTable::Build(length, std::move(per_cpu)));
+    };
+    std::shared_ptr<const SchedulingTable> table;
+    for (int step = 0; step < 6; ++step) {
+      std::shared_ptr<const SchedulingTable> replacement;
+      if (step % 3 == 0) {
+        table = random_table(rng.UniformInt(0, 1) == 0);
+      } else if (step % 3 == 1) {
+        table = std::make_shared<const SchedulingTable>(
+            SchedulingTable::Deserialize(table->Serialize()));
+      } else {
+        // Swap two cores' lists, or empty one (keeps every instant's vCPUs
+        // distinct); sometimes re-install a fresh table during the switch.
+        const int a = static_cast<int>(rng.UniformInt(0, cpus - 1));
+        const int b = static_cast<int>(rng.UniformInt(0, cpus - 1));
+        std::vector<std::pair<int, std::vector<Allocation>>> replaced;
+        replaced.emplace_back(a, table->cpu(b).allocations);
+        replaced.emplace_back(b, a == b ? std::vector<Allocation>{} : table->cpu(a).allocations);
+        table = std::make_shared<const SchedulingTable>(
+            SchedulingTable::WithCores(*table, std::move(replaced)));
+        if (rng.UniformInt(0, 1) == 0) {
+          replacement = random_table(false);
+        }
+      }
+      ASSERT_EQ(table->Validate(), "");
+      ASSERT_NO_FATAL_FAILURE(probe.SwitchTo(table, replacement));
+      ASSERT_NO_FATAL_FAILURE(probe.ProbeActive());
+    }
+    checks += probe.checks();
+  }
+  EXPECT_GT(checks, 50000);
+}
+
+// Planner delta streams (C=D plans with split vCPUs coming and going) and
+// their wire round trips, with the slip tolerance off and finite.
+TEST(Dispatcher, SlotCursorMatchesLookupOnPlannerDeltaStreams) {
+  PlannerConfig config;
+  config.num_cpus = 4;
+  const Planner planner(config);
+  for (const TimeNs tolerance : {kTimeNever, 100 * kMicrosecond}) {
+    std::vector<VcpuRequest> requests;
+    for (VcpuId id = 0; id < 6; ++id) {
+      requests.push_back({id, 0.6, 20 * kMillisecond});
+    }
+    PlanResult plan = planner.Solve(PlanRequest::Full(requests));
+    ASSERT_TRUE(plan.success);
+    CursorProbe probe(config.num_cpus, SlipTolerance(tolerance), 8181);
+    ASSERT_NO_FATAL_FAILURE(probe.SwitchTo(std::make_shared<const SchedulingTable>(plan.table)));
+    ASSERT_NO_FATAL_FAILURE(probe.ProbeActive());
+    Rng rng(5252);
+    std::vector<VcpuId> live = {0, 1, 2, 3, 4, 5};
+    VcpuId next_id = 6;
+    for (int step = 0; step < 16; ++step) {
+      std::vector<VcpuRequest> added;
+      std::vector<VcpuId> departed;
+      if (live.size() > 4 && rng.UniformInt(0, 1) == 0) {
+        const auto index = static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+        departed.push_back(live[index]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
+      } else if (live.size() < 6) {
+        const double u = rng.UniformInt(0, 1) == 0 ? 0.6 : 0.3;
+        added.push_back({next_id, u, (rng.UniformInt(0, 1) == 0 ? 20 : 5) * kMillisecond});
+        live.push_back(next_id++);
+      }
+      PlanResult next = planner.Solve(PlanRequest::Delta(plan, added, departed));
+      ASSERT_TRUE(next.success) << "step " << step;
+      auto table = std::make_shared<const SchedulingTable>(next.table);
+      ASSERT_NO_FATAL_FAILURE(probe.SwitchTo(table));
+      ASSERT_NO_FATAL_FAILURE(probe.ProbeActive());
+      ASSERT_NO_FATAL_FAILURE(probe.SwitchTo(std::make_shared<const SchedulingTable>(
+          SchedulingTable::Deserialize(table->Serialize()))));
+      ASSERT_NO_FATAL_FAILURE(probe.ProbeActive());
+      plan = std::move(next);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tableau

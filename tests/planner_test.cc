@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "src/common/rng.h"
@@ -71,6 +72,10 @@ TEST(Planner, RejectsBadRequests) {
   config.num_cpus = 2;
   const Planner planner(config);
   EXPECT_FALSE(planner.Plan({{0, 0.0, kMillisecond}}).success);
+  EXPECT_FALSE(planner.Plan({{0, -0.0, kMillisecond}}).success);
+  EXPECT_FALSE(planner.Plan({{0, -0.5, kMillisecond}}).success);
+  EXPECT_FALSE(
+      planner.Plan({{0, std::numeric_limits<double>::quiet_NaN(), kMillisecond}}).success);
   EXPECT_FALSE(planner.Plan({{0, 1.5, kMillisecond}}).success);
   EXPECT_FALSE(planner.Plan({{0, 0.5, 0}}).success);
   EXPECT_FALSE(planner.Plan({{0, 0.5, kMillisecond}, {0, 0.5, kMillisecond}}).success);

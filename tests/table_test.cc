@@ -135,6 +135,7 @@ TEST(SchedulingTable, SliceLookupAgreesWithLinearEverywhere) {
       const LookupResult slow = table.LookupLinear(0, offset);
       ASSERT_EQ(fast.vcpu, slow.vcpu) << "offset " << offset;
       ASSERT_EQ(fast.interval_end, slow.interval_end) << "offset " << offset;
+      ASSERT_EQ(fast.next, slow.next) << "offset " << offset;
     }
   }
 }
@@ -184,6 +185,8 @@ TEST(SchedulingTable, LookupMatchesLinearAtSliceEdgesBothLayouts) {
             << "offset " << offset << " pow2 " << pow2 << " trial " << trial;
         ASSERT_EQ(fast.interval_end, slow.interval_end)
             << "offset " << offset << " pow2 " << pow2 << " trial " << trial;
+        ASSERT_EQ(fast.next, slow.next)
+            << "offset " << offset << " pow2 " << pow2 << " trial " << trial;
       }
     }
   }
@@ -198,9 +201,15 @@ TEST(SchedulingTable, LookupWrapsFromLastNanosecondToZero) {
   const LookupResult last = table.Lookup(0, 999);
   EXPECT_EQ(last.vcpu, 1);
   EXPECT_EQ(last.interval_end, 1000);
+  EXPECT_EQ(last.next, 2);  // Nothing left in the round.
   const LookupResult wrapped = table.Lookup(0, 0);
   EXPECT_EQ(wrapped.vcpu, 0);
   EXPECT_EQ(wrapped.interval_end, 250);
+  EXPECT_EQ(wrapped.next, 1);
+  const LookupResult gap = table.Lookup(0, 500);
+  EXPECT_EQ(gap.vcpu, kIdleVcpu);
+  EXPECT_EQ(gap.interval_end, 750);
+  EXPECT_EQ(gap.next, 1);  // The walk resumes at the allocation ending the gap.
 }
 
 TEST(SchedulingTable, SingleSliceTableBothLayouts) {
